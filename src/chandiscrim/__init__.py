@@ -41,6 +41,7 @@ from .discrimination import (
     ensemble_pairs,
     erasure_closed,
     gen_dephasing_closed,
+    gen_dephasing_maxent_closed,
     gen_dephasing_optimal_probe,
     helstrom,
     hull_min_distance,

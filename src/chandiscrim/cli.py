@@ -15,32 +15,12 @@ import sys
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    CPTPError,
-    channel_from_dict,
-    make_amplitude_damping,
-    make_depolarizing,
-    make_dephasing,
-    make_erasure,
-    make_generalized_dephasing,
-    mixed_unitary_pair_d3,
-    mixed_unitary_pair_d6,
-)
+from .channels import Channel, CPTPError, channel_from_dict
 from .discrimination import (
+    FAMILIES,
     DiscriminationResult,
-    ad_maxent_closed,
-    ad_nonmax_closed,
-    ad_single_closed,
-    dephasing_closed,
-    depolarizing_maxent_closed,
-    depolarizing_nonmax_closed,
-    depolarizing_single_closed,
     discrim_fixed_entangled,
     discrim_fixed_single,
-    erasure_closed,
-    gen_dephasing_closed,
-    gen_dephasing_optimal_probe,
 )
 from .linalg import from_pairs
 from .optimize import OptimizerOptions, optimize_entangled, optimize_single
@@ -61,17 +41,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CPTP = 4
 
-_FAMILIES = (
-    "depolarizing",
-    "dephasing",
-    "gen-dephasing",
-    "amplitude-damping",
-    "erasure",
-    "mixed-unitary-d3",
-    "mixed-unitary-d6",
-)
-
-
 class UsageError(ValueError):
     """Invalid parameters or malformed input files (exit code 2)."""
 
@@ -84,13 +53,6 @@ def _fail(code: int, message: str) -> int:
 # ---------------------------------------------------------------------------
 # channel construction from CLI flags
 # ---------------------------------------------------------------------------
-
-
-def _require(args, names: list[str], family: str):
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        raise UsageError(f"family {family!r} requires {flags}")
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -108,68 +70,31 @@ def _unitary_from_args(args) -> np.ndarray:
         if len(phases) < 2:
             raise UsageError("--phases needs at least two comma-separated angles")
         return np.diag(np.exp(1j * np.array(phases)))
-    if args.unitary_json is not None:
-        try:
-            with open(args.unitary_json, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise OSError(f"cannot read unitary file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"unitary file is not valid JSON: {exc}") from exc
-        try:
-            return from_pairs(data)
-        except ValueError as exc:
-            raise UsageError(f"unitary file: {exc}") from exc
-    raise UsageError("family 'gen-dephasing' requires --phases or --unitary-json")
+    try:
+        with open(args.unitary_json, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise OSError(f"cannot read unitary file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"unitary file is not valid JSON: {exc}") from exc
+    try:
+        return from_pairs(data)
+    except ValueError as exc:
+        raise UsageError(f"unitary file: {exc}") from exc
 
 
-def build_channel_pair(family: str, args) -> tuple[Channel, Channel, dict]:
-    """Construct the two channels named by the eval/sweep flags."""
-    if family == "depolarizing":
-        _require(args, ["q1", "q2"], family)
-        d = args.d or 2
-        return (
-            make_depolarizing(d, args.q1),
-            make_depolarizing(d, args.q2),
-            {"d": d, "q1": args.q1, "q2": args.q2},
-        )
-    if family == "dephasing":
-        _require(args, ["r1", "r2"], family)
-        d = args.d or 2
-        return (
-            make_dephasing(d, args.r1),
-            make_dephasing(d, args.r2),
-            {"d": d, "r1": args.r1, "r2": args.r2},
-        )
-    if family == "gen-dephasing":
-        _require(args, ["r1", "r2"], family)
-        u = _unitary_from_args(args)
-        return (
-            make_generalized_dephasing(u, args.r1),
-            make_generalized_dephasing(u, args.r2),
-            {"d": u.shape[0], "r1": args.r1, "r2": args.r2, "_unitary": u},
-        )
-    if family == "amplitude-damping":
-        _require(args, ["mu1", "mu2"], family)
-        return (
-            make_amplitude_damping(args.mu1),
-            make_amplitude_damping(args.mu2),
-            {"mu1": args.mu1, "mu2": args.mu2},
-        )
-    if family == "erasure":
-        _require(args, ["eps1", "eps2"], family)
-        d = args.d or 2
-        return (
-            make_erasure(d, args.eps1),
-            make_erasure(d, args.eps2),
-            {"d": d, "eps1": args.eps1, "eps2": args.eps2},
-        )
-    if family in ("mixed-unitary-d3", "mixed-unitary-d6"):
-        weights = _parse_weights(args.weights) if args.weights else (1 / 3, 1 / 3, 1 / 3)
-        maker = mixed_unitary_pair_d3 if family.endswith("d3") else mixed_unitary_pair_d6
-        ch1, ch2 = maker(weights)
-        return ch1, ch2, {"d": ch1.dim_in, "weights": list(weights)}
-    raise UsageError(f"unknown family {family!r}")
+def _family_values(family: str, given: dict, flag: str, args) -> dict:
+    """Parameter dict for ``FAMILIES[family]``: defaults filled, flag inputs added."""
+    fam = FAMILIES[family]
+    missing = [n for n, default in fam.params.items() if default is None and n not in given]
+    if missing:
+        raise UsageError(f"family {family!r} requires {', '.join(flag + n for n in missing)}")
+    values = {**{n: d for n, d in fam.params.items() if d is not None}, **given}
+    if args.phases is not None or args.unitary_json is not None:
+        values["u"] = _unitary_from_args(args)
+    if getattr(args, "weights", None):
+        values["weights"] = _parse_weights(args.weights)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -223,76 +148,63 @@ def _fixed_single_probe(body: str, dim: int):
     )
 
 
+def _closed_result(entry: tuple, probe_class: str) -> DiscriminationResult:
+    value, probe, _ = entry
+    return DiscriminationResult(
+        value, probe_class=probe_class, probe=probe.to_dict(), method="closed_form"
+    )
+
+
 def evaluate_probe_class(
     family: str,
-    params: dict,
+    values: dict,
     ch1: Channel,
     ch2: Channel,
     probe_spec: str,
     p1: float,
     opts: OptimizerOptions,
 ) -> DiscriminationResult:
-    """Dispatch a probe-class spec onto closed forms, fixed probes, or optimizers."""
+    """Dispatch a probe-class spec onto closed forms, fixed probes, or optimizers.
+
+    ``family`` names a ``FAMILIES`` entry whose closed forms read ``values``;
+    any other name (the CLI uses "custom") has no closed forms.
+    """
     spec = probe_spec.strip()
     head, _, body = spec.partition(":")
+    fam = FAMILIES.get(family)
+    closed = fam.closed if fam is not None else {}
 
     if head in ("single", "product") and not body:
-        result = _closed_single(family, params)
-        if result is None:
+        if "single" not in closed:
             raise UsageError(
                 f"family {family!r} has no single-probe closed form; use "
                 f"single:|k>, single:uniform, or optimize-single"
             )
         if p1 != 0.5:
             raise UsageError("closed forms assume equal priors; drop --p1 or use a fixed probe")
-        if head == "product":
-            result.probe_class = "product"
-        return result
+        return _closed_result(closed["single"](values), head)
 
     if head == "maxent" and not body:
-        if p1 == 0.5:
-            result = _closed_maxent(family, params)
-            if result is not None:
-                return result
+        if p1 == 0.5 and "maxent" in closed:
+            return _closed_result(closed["maxent"](values), "max_entangled")
         fixed = discrim_fixed_entangled(ch1, ch2, max_entangled(ch1.dim_in), p1)
         fixed.probe_class = "max_entangled"
         return fixed
 
-    if head == "nonmax":
-        kv = _parse_kv(body, "nonmax probe")
-        if "g" not in kv:
-            raise UsageError("nonmax probe spec must give g, e.g. nonmax:g=0.3")
-        g = float(kv["g"])
-        z = float(kv.get("z", "0"))
-        if family == "depolarizing" and params.get("d", 2) == 2 and p1 == 0.5:
-            value = depolarizing_nonmax_closed(g, params["q1"], params["q2"])
-            probe = nonmax_qubit(g, z)
-            return DiscriminationResult(
-                value, probe_class="nonmax", probe=probe.to_dict(), method="closed_form"
-            )
+    if head in ("nonmax", "schmidt"):
+        name = "g" if head == "nonmax" else "p"
+        kv = _parse_kv(body, f"{head} probe")
+        if name not in kv:
+            raise UsageError(f"{head} probe spec must give {name}, e.g. {head}:{name}=0.3")
+        x = float(kv[name])
+        z = float(kv.get("z", "0")) if head == "nonmax" else 0.0
+        if p1 == 0.5 and fam is not None and fam.probe_param == name:
+            return _closed_result(closed["nonmax"]({**values, name: x, "z": z}), head)
         if ch1.dim_in != 2:
-            raise UsageError("nonmax:g probes are qubit probes; channel input must be 2")
-        fixed = discrim_fixed_entangled(ch1, ch2, nonmax_qubit(g, z), p1)
-        fixed.probe_class = "nonmax"
-        return fixed
-
-    if head == "schmidt":
-        kv = _parse_kv(body, "schmidt probe")
-        if "p" not in kv:
-            raise UsageError("schmidt probe spec must give p, e.g. schmidt:p=0.1")
-        p = float(kv["p"])
-        if family == "amplitude-damping" and p1 == 0.5:
-            value = ad_nonmax_closed(p, params["mu1"], params["mu2"])
-            return DiscriminationResult(
-                value,
-                probe_class="schmidt",
-                probe=schmidt_pair(p).to_dict(),
-                method="closed_form",
-            )
-        if ch1.dim_in != 2:
-            raise UsageError("schmidt:p probes are qubit probes; channel input must be 2")
-        fixed = discrim_fixed_entangled(ch1, ch2, schmidt_pair(p), p1)
-        fixed.probe_class = "schmidt"
+            raise UsageError(f"{head}:{name} probes are qubit probes; channel input must be 2")
+        probe = nonmax_qubit(x, z) if head == "nonmax" else schmidt_pair(x)
+        fixed = discrim_fixed_entangled(ch1, ch2, probe, p1)
+        fixed.probe_class = head
         return fixed
 
     if head == "zeta":
@@ -315,63 +227,16 @@ def evaluate_probe_class(
         fixed.probe_class = "product"
         return fixed
 
-    if spec == "optimize-single":
+    if spec in ("optimize-single", "optimize-ent"):
         if p1 != 0.5:
             raise UsageError("the optimizers assume equal priors")
-        return optimize_single(ch1, ch2, opts)
-    if spec == "optimize-ent":
-        if p1 != 0.5:
-            raise UsageError("the optimizers assume equal priors")
-        return optimize_entangled(ch1, ch2, opts)
+        run = optimize_single if spec == "optimize-single" else optimize_entangled
+        return run(ch1, ch2, opts)
 
     raise UsageError(
         f"unknown probe class {probe_spec!r}; expected single, product, maxent, "
         f"nonmax:g=<x>, schmidt:p=<x>, zeta:c1=<re>,<im>,c2=<re>,<im>, "
         f"single:|k>, single:uniform, optimize-single, or optimize-ent"
-    )
-
-
-def _closed_single(family: str, params: dict) -> DiscriminationResult | None:
-    if family == "depolarizing":
-        value = depolarizing_single_closed(params["d"], params["q1"], params["q2"])
-        probe = basis_probe(params["d"], 0)
-    elif family == "dephasing":
-        value = dephasing_closed(params["r1"], params["r2"])
-        probe = uniform_superposition(params["d"])
-    elif family == "gen-dephasing":
-        u = params["_unitary"]
-        value = gen_dephasing_closed(u, params["r1"], params["r2"])
-        probe = gen_dephasing_optimal_probe(u)
-    elif family == "amplitude-damping":
-        value, theta = ad_single_closed(params["mu1"], params["mu2"])
-        probe = bloch_qubit(theta, 0.0)
-    elif family == "erasure":
-        value = erasure_closed(params["eps1"], params["eps2"])
-        probe = basis_probe(params["d"], 0)
-    else:
-        return None
-    return DiscriminationResult(
-        value, probe_class="single", probe=probe.to_dict(), method="closed_form"
-    )
-
-
-def _closed_maxent(family: str, params: dict) -> DiscriminationResult | None:
-    if family == "depolarizing":
-        value = depolarizing_maxent_closed(params["d"], params["q1"], params["q2"])
-        d = params["d"]
-    elif family == "amplitude-damping":
-        value = ad_maxent_closed(params["mu1"], params["mu2"])
-        d = 2
-    elif family == "erasure":
-        value = erasure_closed(params["eps1"], params["eps2"])
-        d = params["d"]
-    else:
-        return None
-    return DiscriminationResult(
-        value,
-        probe_class="max_entangled",
-        probe=max_entangled(d).to_dict(),
-        method="closed_form",
     )
 
 
@@ -381,10 +246,9 @@ def _closed_maxent(family: str, params: dict) -> DiscriminationResult | None:
 
 
 def _result_payload(family: str, params: dict, p1: float, result: DiscriminationResult) -> dict:
-    shown = {k: v for k, v in params.items() if not k.startswith("_")}
     return {
         "family": family,
-        "params": shown,
+        "params": params,
         "p1": p1,
         "probe_class": result.probe_class,
         "method": result.method,
@@ -406,12 +270,13 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = _optimizer_options(args)
     try:
-        ch1, ch2, params = build_channel_pair(args.family, args)
-        result = evaluate_probe_class(
-            args.family, params, ch1, ch2, args.probe, args.p1, opts
-        )
+        opts = _optimizer_options(args)
+        fam = FAMILIES[args.family]
+        given = {n: getattr(args, n) for n in fam.params if getattr(args, n) is not None}
+        values = _family_values(args.family, given, "--", args)
+        ch1, ch2, params = fam.make(values)
+        result = evaluate_probe_class(args.family, values, ch1, ch2, args.probe, args.p1, opts)
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
     except CPTPError as exc:
@@ -450,84 +315,36 @@ def _parse_param_spec(text: str) -> tuple[str, list[float]]:
 _SWEEP_CLASSES = ("maxent-closed", "nonmax-closed", "optimize-ent", "optimize-single", "single-closed")
 
 
-def _sweep_value(family, fixed, probe_class, args) -> tuple[float, dict]:
-    detail: dict = {}
-    if probe_class == "single-closed":
-        if family == "depolarizing":
-            value = depolarizing_single_closed(int(fixed["d"]), fixed["q1"], fixed["q2"])
-        elif family == "dephasing":
-            value = dephasing_closed(fixed["r1"], fixed["r2"])
-        elif family == "gen-dephasing":
-            value = gen_dephasing_closed(fixed["_unitary"], fixed["r1"], fixed["r2"])
-        elif family == "amplitude-damping":
-            value, theta = ad_single_closed(fixed["mu1"], fixed["mu2"])
-            detail["theta_opt"] = theta
-        elif family == "erasure":
-            value = erasure_closed(fixed["eps1"], fixed["eps2"])
-        else:
-            raise UsageError(f"single-closed is not available for family {family!r}")
-    elif probe_class == "maxent-closed":
-        if family == "depolarizing":
-            value = depolarizing_maxent_closed(int(fixed["d"]), fixed["q1"], fixed["q2"])
-        elif family == "dephasing":
-            value = dephasing_closed(fixed["r1"], fixed["r2"])
-        elif family == "gen-dephasing":
-            u = fixed["_unitary"]
-            overlap = abs(np.trace(u)) ** 2 / u.shape[0] ** 2
-            value = 0.5 * (
-                1.0 + abs(fixed["r1"] - fixed["r2"]) * np.sqrt(max(0.0, 1.0 - overlap))
-            )
-        elif family == "amplitude-damping":
-            value = ad_maxent_closed(fixed["mu1"], fixed["mu2"])
-        elif family == "erasure":
-            value = erasure_closed(fixed["eps1"], fixed["eps2"])
-        else:
-            raise UsageError(f"maxent-closed is not available for family {family!r}")
-    elif probe_class == "nonmax-closed":
-        if family == "depolarizing":
-            if int(fixed.get("d", 2)) != 2:
-                raise UsageError("nonmax-closed for depolarizing needs d=2")
-            if "g" not in fixed:
-                raise UsageError("nonmax-closed for depolarizing needs a g parameter")
-            value = depolarizing_nonmax_closed(fixed["g"], fixed["q1"], fixed["q2"])
-            detail["g"] = fixed["g"]
-        elif family == "amplitude-damping":
-            if "p" not in fixed:
-                raise UsageError("nonmax-closed for amplitude-damping needs a p parameter")
-            value = ad_nonmax_closed(fixed["p"], fixed["mu1"], fixed["mu2"])
-            detail["p"] = fixed["p"]
-        else:
-            raise UsageError(f"nonmax-closed is not available for family {family!r}")
-    elif probe_class in ("optimize-single", "optimize-ent"):
-        ns = argparse.Namespace(**{k: fixed.get(k) for k in
-                                   ("d", "q1", "q2", "r1", "r2", "mu1", "mu2",
-                                    "eps1", "eps2", "weights")})
-        ns.phases = getattr(args, "phases", None)
-        ns.unitary_json = getattr(args, "unitary_json", None)
-        if "d" in fixed:
-            ns.d = int(fixed["d"])
-        ch1, ch2, _ = build_channel_pair(family, ns)
-        opts = _optimizer_options(args)
+def _sweep_value(family: str, values: dict, ch1, ch2, probe_class: str, opts) -> tuple[float, dict]:
+    if probe_class in ("optimize-single", "optimize-ent"):
         run = optimize_single if probe_class == "optimize-single" else optimize_entangled
         result = run(ch1, ch2, opts)
-        value = result.probability
-        detail["optimizer_meta"] = {
-            k: result.optimizer_meta[k] for k in ("restarts", "iterations", "final_step")
-        }
-    else:
-        raise UsageError(
-            f"unknown sweep probe class {probe_class!r}; expected one of {_SWEEP_CLASSES}"
-        )
+        meta = {k: result.optimizer_meta[k] for k in ("restarts", "iterations", "final_step")}
+        return float(result.probability), {"optimizer_meta": meta}
+    fam = FAMILIES[family]
+    kind = probe_class[: -len("-closed")]
+    if kind not in fam.closed:
+        raise UsageError(f"{probe_class} is not available for family {family!r}")
+    if kind == "nonmax" and fam.probe_param not in values:
+        raise UsageError(f"nonmax-closed for {family} needs a {fam.probe_param} parameter")
+    value, _, detail = fam.closed[kind](values)
     return float(value), detail
 
 
 def cmd_sweep(args) -> int:
     try:
+        fam = FAMILIES[args.family]
+        known = [*fam.params, *([fam.probe_param] if fam.probe_param else [])]
         params: dict[str, list[float]] = {}
         for spec in args.param or []:
             name, values = _parse_param_spec(spec)
             if name in params:
                 raise UsageError(f"parameter {name!r} given twice")
+            if name not in known:
+                raise UsageError(
+                    f"family {args.family!r} has no parameter {name!r}; "
+                    f"its parameters: {', '.join(known) or 'none'}"
+                )
             params[name] = values
         if not params:
             raise UsageError("sweep needs at least one --param")
@@ -542,6 +359,7 @@ def cmd_sweep(args) -> int:
                 raise UsageError(
                     f"unknown sweep probe class {pc!r}; expected one of {_SWEEP_CLASSES}"
                 )
+        opts = _optimizer_options(args)
 
         axis = ranged if ranged else list(params)[:1]
         rows = []
@@ -549,21 +367,14 @@ def cmd_sweep(args) -> int:
         mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
             (a, b) for a in grids[0] for b in grids[1]
         ]
-        unitary = _unitary_from_args(args) if args.family == "gen-dephasing" else None
         for point in mesh:
-            fixed = {n: vs[0] for n, vs in params.items()}
-            for name, value in zip(axis, point):
-                fixed[name] = value
-            if args.family in ("depolarizing", "dephasing", "erasure"):
-                fixed.setdefault("d", 2)
-            if "d" in fixed:
-                fixed["d"] = int(fixed["d"])
-            if unitary is not None:
-                fixed["_unitary"] = unitary
+            given = {n: vs[0] for n, vs in params.items()}
+            given.update(zip(axis, point))
+            values = _family_values(args.family, given, "--param ", args)
+            ch1, ch2, report = fam.make(values)
+            shown = {n: report.get(n, v) for n, v in values.items() if n in known}
             for pc in probe_classes:
-                value, detail = _sweep_value(args.family, fixed, pc, args)
-                shown = {k: v for k, v in fixed.items() if not k.startswith("_")}
-                shown.update(detail)
+                value, detail = _sweep_value(args.family, values, ch1, ch2, pc, opts)
                 rows.append(
                     (
                         args.family,
@@ -571,7 +382,7 @@ def cmd_sweep(args) -> int:
                         repr(float(point[1])) if len(point) > 1 else "",
                         pc,
                         repr(value),
-                        json.dumps(shown, sort_keys=True),
+                        json.dumps({**shown, **detail}, sort_keys=True),
                     )
                 )
     except UsageError as exc:
@@ -622,11 +433,9 @@ def cmd_custom(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
-    opts = _optimizer_options(args)
     try:
-        result = evaluate_probe_class(
-            "custom", {}, ch1, ch2, args.probe, args.p1, opts
-        )
+        opts = _optimizer_options(args)
+        result = evaluate_probe_class("custom", {}, ch1, ch2, args.probe, args.p1, opts)
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
     except ValueError as exc:
@@ -683,15 +492,10 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _add_family_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--d", type=int, default=None, help="local dimension (default 2)")
-    parser.add_argument("--q1", type=float, default=None)
-    parser.add_argument("--q2", type=float, default=None)
-    parser.add_argument("--r1", type=float, default=None)
-    parser.add_argument("--r2", type=float, default=None)
-    parser.add_argument("--mu1", type=float, default=None)
-    parser.add_argument("--mu2", type=float, default=None)
-    parser.add_argument("--eps1", type=float, default=None)
-    parser.add_argument("--eps2", type=float, default=None)
+    defaults = {n: d for fam in FAMILIES.values() for n, d in fam.params.items()}
+    for name, default in defaults.items():
+        shown = None if default is None else f"default {default}"
+        parser.add_argument(f"--{name}", type=float, default=None, help=shown)
     parser.add_argument("--weights", default=None, help="w1,w2,w3 for mixed-unitary pairs")
     parser.add_argument("--phases", default=None, help="diagonal unitary phases a,b,...")
     parser.add_argument("--unitary-json", default=None, help="path to a [re,im]-pair matrix")
@@ -711,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one channel pair under one probe class")
-    p_eval.add_argument("family", choices=_FAMILIES)
+    p_eval.add_argument("family", choices=list(FAMILIES))
     _add_family_flags(p_eval)
     p_eval.add_argument("--probe", required=True, help="probe class spec")
     p_eval.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
@@ -720,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="grid-sweep parameters to CSV")
-    p_sweep.add_argument("family", choices=_FAMILIES)
+    p_sweep.add_argument("family", choices=list(FAMILIES))
     p_sweep.add_argument(
         "--param",
         action="append",

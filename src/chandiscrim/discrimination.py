@@ -7,19 +7,38 @@ states. For the built-in channel families the optimum over a probe class
 reduces to a closed form; those formulas live here, next to a convex-hull
 helper and trace-norm bounds for mixed-unitary channels, all cross-checkable
 against the brute-force probe optimizer in :mod:`chandiscrim.optimize`.
+``FAMILIES`` ties each CLI family to its parameters, its channel pair and
+its closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import channels as ch_mod
-from .channels import Channel
+from .channels import (
+    Channel,
+    make_amplitude_damping,
+    make_depolarizing,
+    make_dephasing,
+    make_erasure,
+    make_generalized_dephasing,
+    mixed_unitary_pair_d3,
+    mixed_unitary_pair_d6,
+)
 from .linalg import as_complex, hermitian_eig, unitary_eigenphases
-from .probes import BipartitePureProbe, SinglePureProbe
+from .probes import (
+    BipartitePureProbe,
+    SinglePureProbe,
+    basis_probe,
+    bloch_qubit,
+    max_entangled,
+    nonmax_qubit,
+    schmidt_pair,
+    uniform_superposition,
+)
 
 
 @dataclass
@@ -46,6 +65,25 @@ def helstrom(rho1, rho2, p1: float = 0.5) -> float:
     return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff).values).sum()))
 
 
+def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) -> float:
+    """Helstrom probability of the pure probe ``psi`` through two stacked Kraus sets.
+
+    ``k1`` and ``k2`` have shape (n_kraus, dim_out, dim_in). ``psi`` is a
+    single-system probe as a vector of length dim_in, or a bipartite probe
+    reshaped to dim_in x dim_b. Branch i of a channel maps the probe to
+    (K_i (x) I)|psi>, the flattening of K_i @ psi; with the branches as the
+    rows of B the evolved state is B^T B*. Nothing is checked here: channels
+    and probes are validated when built, dimensions and p1 by the callers.
+    """
+    b1 = k1 @ psi
+    b2 = k2 @ psi
+    if psi.ndim == 2:  # one row per branch: K_i @ psi flattened over (out, B)
+        b1 = b1.reshape(len(b1), -1)
+        b2 = b2.reshape(len(b2), -1)
+    diff = p1 * (b1.T @ b1.conj()) - (1.0 - p1) * (b2.T @ b2.conj())
+    return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(diff)).sum()))
+
+
 def _check_same_dims(ch1: Channel, ch2: Channel):
     if ch1.dim_in != ch2.dim_in or ch1.dim_out != ch2.dim_out:
         raise ValueError(
@@ -54,15 +92,23 @@ def _check_same_dims(ch1: Channel, ch2: Channel):
         )
 
 
+def _fixed_probe_value(ch1: Channel, ch2: Channel, psi: np.ndarray, p1: float) -> float:
+    _check_same_dims(ch1, ch2)
+    if psi.shape[0] != ch1.dim_in:
+        raise ValueError(
+            f"probe dimension {psi.shape[0]} does not match channel input {ch1.dim_in}"
+        )
+    p1 = float(p1)
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    return helstrom_pure(np.stack(ch1.kraus), np.stack(ch2.kraus), psi, p1)
+
+
 def discrim_fixed_single(
     ch1: Channel, ch2: Channel, probe: SinglePureProbe, p1: float = 0.5
 ) -> DiscriminationResult:
     """Helstrom probability for a fixed single-system probe."""
-    _check_same_dims(ch1, ch2)
-    if probe.dim != ch1.dim_in:
-        raise ValueError(f"probe dimension {probe.dim} does not match channel input {ch1.dim_in}")
-    rho = probe.density()
-    p = helstrom(ch_mod.apply(ch1, rho), ch_mod.apply(ch2, rho), p1)
+    p = _fixed_probe_value(ch1, ch2, probe.amplitudes, p1)
     return DiscriminationResult(p, probe_class="single", probe=probe.to_dict())
 
 
@@ -70,17 +116,8 @@ def discrim_fixed_entangled(
     ch1: Channel, ch2: Channel, probe: BipartitePureProbe, p1: float = 0.5
 ) -> DiscriminationResult:
     """Helstrom probability for a fixed bipartite probe, channel acting on A."""
-    _check_same_dims(ch1, ch2)
-    if probe.dim_a != ch1.dim_in:
-        raise ValueError(
-            f"probe A-dimension {probe.dim_a} does not match channel input {ch1.dim_in}"
-        )
-    rho = probe.density()
-    p = helstrom(
-        ch_mod.apply_on_A(ch1, rho, probe.dim_b),
-        ch_mod.apply_on_A(ch2, rho, probe.dim_b),
-        p1,
-    )
+    psi = probe.amplitudes.reshape(probe.dim_a, probe.dim_b)
+    p = _fixed_probe_value(ch1, ch2, psi, p1)
     return DiscriminationResult(p, probe_class="general_entangled", probe=probe.to_dict())
 
 
@@ -159,6 +196,18 @@ def gen_dephasing_closed(u, r1: float, r2: float, seed: int = 0) -> float:
     phases = [theta for theta, _ in unitary_eigenphases(u, seed=seed)]
     m = hull_min_distance(phases)
     return 0.5 * (1.0 + abs(r1 - r2) * np.sqrt(max(0.0, 1.0 - m * m)))
+
+
+def gen_dephasing_maxent_closed(u, r1: float, r2: float) -> float:
+    """Maximally entangled probe value (1/2)(1 + |r1-r2| sqrt(1 - |Tr U|^2 / d^2)).
+
+    For qubits this equals the single-probe optimum; for d >= 3 it can fall
+    strictly below it, since |Tr U|/d is the centroid of the eigenphase
+    points, not their hull point nearest the origin.
+    """
+    u = as_complex(u)
+    overlap = abs(np.trace(u)) ** 2 / u.shape[0] ** 2
+    return 0.5 * (1.0 + abs(r1 - r2) * np.sqrt(max(0.0, 1.0 - overlap)))
 
 
 def hull_nearest_weights(phases: Sequence[float]) -> np.ndarray:
@@ -356,3 +405,151 @@ def ensemble_pairs(ch1: Channel, ch2: Channel) -> list[tuple[np.ndarray, np.ndar
     for (k1, k2, q) in zip(ch1.kraus, ch2.kraus, w1):
         out.append((k1 / np.sqrt(q), k2 / np.sqrt(q), float(q)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The CLI channel families. Entries look constructors and closed forms up by
+# name when called, so a caller that rebinds a module name (a tracer, a test
+# double) sees every call.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One CLI channel family: its parameters, its channel pair and its closed forms.
+
+    ``params`` maps each scalar parameter to its default (None: required).
+    ``make(values)`` builds the validated pair from a dict holding those
+    parameters and returns ``(ch1, ch2, report)``, ``report`` being the
+    parameters as shown to the user. Non-scalar inputs travel in the same
+    dict: the unitary ``u`` of gen-dephasing and the mixed-unitary
+    ``weights``. ``closed`` maps "single", "maxent" and "nonmax" to functions
+    of the same dict returning ``(probability, probe, detail)``; they assume
+    equal priors. The "nonmax" form also reads ``probe_param`` from the dict.
+    """
+
+    params: Mapping[str, float | None]
+    make: Callable[[dict], tuple[Channel, Channel, dict]]
+    closed: Mapping[str, Callable[[dict], tuple]] = field(default_factory=dict)
+    probe_param: str | None = None
+
+
+def _dim(values: dict) -> int:
+    d = values["d"]
+    if not float(d).is_integer():
+        raise ValueError(f"d must be an integer, got {d!r}")
+    return int(d)
+
+
+def _dim_pair(v: dict, make, a: str, b: str):
+    """The channels make(d, v[a]) and make(d, v[b]) and their report."""
+    d = _dim(v)
+    return make(d, v[a]), make(d, v[b]), {"d": d, a: v[a], b: v[b]}
+
+
+def _make_gen_dephasing(v: dict):
+    if "u" not in v:
+        raise ValueError("family 'gen-dephasing' requires --phases or --unitary-json")
+    u = v["u"]
+    report = {"d": u.shape[0], "r1": v["r1"], "r2": v["r2"]}
+    return make_generalized_dephasing(u, v["r1"]), make_generalized_dephasing(u, v["r2"]), report
+
+
+def _make_amplitude_damping(v: dict):
+    report = {"mu1": v["mu1"], "mu2": v["mu2"]}
+    return make_amplitude_damping(v["mu1"]), make_amplitude_damping(v["mu2"]), report
+
+
+def _make_mixed_unitary(v: dict, dim: int):
+    weights = v.get("weights", (1 / 3, 1 / 3, 1 / 3))
+    maker = mixed_unitary_pair_d3 if dim == 3 else mixed_unitary_pair_d6
+    ch1, ch2 = maker(weights)
+    return ch1, ch2, {"d": dim, "weights": list(weights)}
+
+
+def _depolarizing_nonmax(v: dict):
+    if _dim(v) != 2:
+        raise ValueError("the nonmax closed form for depolarizing needs d=2")
+    value = depolarizing_nonmax_closed(v["g"], v["q1"], v["q2"])
+    return value, nonmax_qubit(v["g"], v.get("z", 0.0)), {}
+
+
+def _ad_single(v: dict):
+    value, theta = ad_single_closed(v["mu1"], v["mu2"])
+    return value, bloch_qubit(theta, 0.0), {"theta_opt": theta}
+
+
+FAMILIES: dict[str, Family] = {
+    "depolarizing": Family(
+        params={"d": 2, "q1": None, "q2": None},
+        make=lambda v: _dim_pair(v, make_depolarizing, "q1", "q2"),
+        closed={
+            "single": lambda v: (
+                depolarizing_single_closed(_dim(v), v["q1"], v["q2"]),
+                basis_probe(_dim(v), 0),
+                {},
+            ),
+            "maxent": lambda v: (
+                depolarizing_maxent_closed(_dim(v), v["q1"], v["q2"]),
+                max_entangled(_dim(v)),
+                {},
+            ),
+            "nonmax": _depolarizing_nonmax,
+        },
+        probe_param="g",
+    ),
+    "dephasing": Family(
+        params={"d": 2, "r1": None, "r2": None},
+        make=lambda v: _dim_pair(v, make_dephasing, "r1", "r2"),
+        closed={
+            "single": lambda v: (
+                dephasing_closed(v["r1"], v["r2"]), uniform_superposition(_dim(v)), {}
+            ),
+            "maxent": lambda v: (
+                dephasing_closed(v["r1"], v["r2"]), max_entangled(_dim(v)), {}
+            ),
+        },
+    ),
+    "gen-dephasing": Family(
+        params={"r1": None, "r2": None},
+        make=_make_gen_dephasing,
+        closed={
+            "single": lambda v: (
+                gen_dephasing_closed(v["u"], v["r1"], v["r2"]),
+                gen_dephasing_optimal_probe(v["u"]),
+                {},
+            ),
+            "maxent": lambda v: (
+                gen_dephasing_maxent_closed(v["u"], v["r1"], v["r2"]),
+                max_entangled(v["u"].shape[0]),
+                {},
+            ),
+        },
+    ),
+    "amplitude-damping": Family(
+        params={"mu1": None, "mu2": None},
+        make=_make_amplitude_damping,
+        closed={
+            "single": _ad_single,
+            "maxent": lambda v: (ad_maxent_closed(v["mu1"], v["mu2"]), max_entangled(2), {}),
+            "nonmax": lambda v: (
+                ad_nonmax_closed(v["p"], v["mu1"], v["mu2"]), schmidt_pair(v["p"]), {}
+            ),
+        },
+        probe_param="p",
+    ),
+    "erasure": Family(
+        params={"d": 2, "eps1": None, "eps2": None},
+        make=lambda v: _dim_pair(v, make_erasure, "eps1", "eps2"),
+        closed={
+            "single": lambda v: (
+                erasure_closed(v["eps1"], v["eps2"]), basis_probe(_dim(v), 0), {}
+            ),
+            "maxent": lambda v: (
+                erasure_closed(v["eps1"], v["eps2"]), max_entangled(_dim(v)), {}
+            ),
+        },
+    ),
+    "mixed-unitary-d3": Family(params={}, make=lambda v: _make_mixed_unitary(v, 3)),
+    "mixed-unitary-d6": Family(params={}, make=lambda v: _make_mixed_unitary(v, 6)),
+}

@@ -32,19 +32,10 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex(a).conj().T
-
-
 def hermiticity_defect(a) -> float:
     """Largest entrywise deviation of ``a`` from its own adjoint."""
     a = as_complex(a)
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
-def is_hermitian(a, atol: float = HERMITIAN_ATOL) -> bool:
-    return hermiticity_defect(a) <= atol
 
 
 def unitarity_defect(u) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .discrimination import DiscriminationResult, _check_same_dims
+from .discrimination import DiscriminationResult, _check_same_dims, helstrom_pure
 from .probes import (
     BipartitePureProbe,
     SinglePureProbe,
@@ -31,19 +31,16 @@ from .probes import (
 
 _INITIAL_STEP = 0.3
 _NORM_FLOOR = 1e-12
+# Grid points per Bloch angle in the scan that seeds one extra start for
+# single qubit probes; higher-dimensional searches rely on random restarts.
+_BLOCH_GRID = 24
 
 
 @dataclass
 class OptimizerOptions:
-    """Knobs for the multistart compass search.
-
-    ``coarse_grid`` is the number of grid points per Bloch angle used to seed
-    one extra start when optimizing single qubit probes; higher-dimensional
-    searches rely on the random restarts alone.
-    """
+    """Knobs for the multistart compass search."""
 
     restarts: int = 32
-    coarse_grid: int = 24
     step_tolerance: float = 1e-7
     max_iterations: int = 5000
     seed: int = 0
@@ -51,9 +48,7 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.coarse_grid < 1:
-            raise ValueError("coarse_grid must be positive")
-        if self.step_tolerance <= 0:
+        if not self.step_tolerance > 0:  # also rejects nan
             raise ValueError("step_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
@@ -72,7 +67,12 @@ def _vector_to_params(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v.real, v.imag])
 
 
-def _single_objective(ch1: Channel, ch2: Channel):
+def _objective(ch1: Channel, ch2: Channel, shape: tuple[int, ...]):
+    """Equal-prior success probability of the probe a parameter vector encodes.
+
+    ``shape`` is (dim_in,) for single-system probes and (dim_in, dim_b) for
+    bipartite ones, the two forms ``helstrom_pure`` takes.
+    """
     k1 = np.stack(ch1.kraus)
     k2 = np.stack(ch2.kraus)
 
@@ -80,29 +80,7 @@ def _single_objective(ch1: Channel, ch2: Channel):
         v = _params_to_vector(x)
         if v is None:
             return 0.0
-        b1 = k1 @ v
-        b2 = k2 @ v
-        diff = 0.5 * (b1.T @ b1.conj() - b2.T @ b2.conj())
-        return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(diff)).sum()))
-
-    return probability
-
-
-def _entangled_objective(ch1: Channel, ch2: Channel, dim_b: int):
-    k1 = np.stack(ch1.kraus)
-    k2 = np.stack(ch2.kraus)
-    dim_a = ch1.dim_in
-    n_out = ch1.dim_out * dim_b
-
-    def probability(x: np.ndarray) -> float:
-        v = _params_to_vector(x)
-        if v is None:
-            return 0.0
-        psi = v.reshape(dim_a, dim_b)
-        b1 = (k1 @ psi).reshape(k1.shape[0], n_out)
-        b2 = (k2 @ psi).reshape(k2.shape[0], n_out)
-        diff = 0.5 * (b1.T @ b1.conj() - b2.T @ b2.conj())
-        return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(diff)).sum()))
+        return helstrom_pure(k1, k2, v.reshape(shape), 0.5)
 
     return probability
 
@@ -186,7 +164,7 @@ def optimize_single(
     if opts is None:
         opts = OptimizerOptions()
     d = ch1.dim_in
-    fn = _single_objective(ch1, ch2)
+    fn = _objective(ch1, ch2, (d,))
     rng = np.random.default_rng(opts.seed)
 
     seeds: list[np.ndarray] = []
@@ -196,7 +174,7 @@ def optimize_single(
     seeds.append(_vector_to_params(basis_probe(d, 0).amplitudes))
     grid_evals = 0
     if d == 2:
-        best_grid, grid_evals = _best_bloch_grid_point(fn, opts.coarse_grid)
+        best_grid, grid_evals = _best_bloch_grid_point(fn)
         seeds.append(best_grid)
     seeds.extend(_random_starts(rng, opts.restarts, 2 * d))
 
@@ -212,12 +190,12 @@ def optimize_single(
     )
 
 
-def _best_bloch_grid_point(fn, density: int):
+def _best_bloch_grid_point(fn):
     best_val = -np.inf
     best_x = None
     evals = 0
-    for theta in np.linspace(0.0, np.pi, density):
-        for delta in np.linspace(0.0, 2.0 * np.pi, density, endpoint=False):
+    for theta in np.linspace(0.0, np.pi, _BLOCH_GRID):
+        for delta in np.linspace(0.0, 2.0 * np.pi, _BLOCH_GRID, endpoint=False):
             x = _vector_to_params(bloch_qubit(theta, delta).amplitudes)
             val = fn(x)
             evals += 1
@@ -242,7 +220,7 @@ def optimize_entangled(
     if opts is None:
         opts = OptimizerOptions()
     d = ch1.dim_in
-    fn = _entangled_objective(ch1, ch2, dim_b=d)
+    fn = _objective(ch1, ch2, (d, d))
     rng = np.random.default_rng(opts.seed)
 
     seeds: list[np.ndarray] = []

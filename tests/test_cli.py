@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from chandiscrim.channels import channel_to_dict, mixed_unitary_pair_d6
+from chandiscrim.cli import main
+from chandiscrim.discrimination import FAMILIES, discrim_fixed_entangled, discrim_fixed_single
+from chandiscrim.linalg import from_pairs
+from chandiscrim.probes import BipartitePureProbe, SinglePureProbe
 
 
 def run_cli(*args, **kwargs):
@@ -73,6 +77,17 @@ def test_eval_rejects_bad_parameters():
     proc = run_cli("eval", "depolarizing", "--probe", "single")
     assert proc.returncode == 2
     assert "--q1" in proc.stderr
+
+    base = ("eval", "depolarizing", "--q1", "0.9", "--q2", "0.3", "--probe", "single")
+    for flag in ("--restarts", "--step-tolerance", "--max-iterations"):
+        proc = run_cli(*base, flag, "0")
+        assert proc.returncode == 2
+        assert "must be positive" in proc.stderr and "Traceback" not in proc.stderr
+
+    # --d 0 used to fall back to d = 2
+    proc = run_cli(*base, "--d", "0")
+    assert proc.returncode == 2
+    assert "d must be at least 2" in proc.stderr
 
 
 def test_eval_mixed_unitary_probes():
@@ -157,6 +172,91 @@ def test_sweep_monotone_g_curve(tmp_path):
     assert peak == 25  # g = 0.5
     assert all(b > a for a, b in zip(probs[:26], probs[1:26]))
     assert all(b < a for a, b in zip(probs[25:], probs[26:]))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["depolarizing", "--param", "foo=1", "--probes", "single-closed"], "no parameter 'foo'"),
+        (
+            ["mixed-unitary-d3", "--param", "weights=0.3", "--probes", "optimize-single"],
+            "no parameter 'weights'",
+        ),
+        (
+            ["erasure", "--param", "eps1=-2", "--param", "eps2=0.3", "--probes", "single-closed"],
+            "eps must lie strictly in (0, 1)",
+        ),
+        (
+            ["depolarizing", "--param", "q1=1.5", "--param", "q2=0.3", "--probes", "single-closed"],
+            "q must lie strictly in (0, 1)",
+        ),
+        (
+            ["depolarizing", "--param", "q1=nan", "--param", "q2=0.3", "--probes", "single-closed"],
+            "q must lie strictly in (0, 1)",
+        ),
+        (
+            ["depolarizing", "--param", "d=2.5", "--param", "q1=0.9", "--param", "q2=0.3",
+             "--probes", "single-closed"],
+            "d must be an integer",
+        ),
+    ],
+)
+def test_sweep_rejects_points_eval_rejects(argv, message, capsys):
+    assert main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def _one_point_args(family: str, kind: str) -> dict:
+    """Valid parameters for one family, plus the probe parameter of its nonmax form."""
+    values = {
+        "depolarizing": {"q1": "0.9", "q2": "0.3"},
+        "dephasing": {"d": "3", "r1": "0.85", "r2": "0.2"},
+        "gen-dephasing": {"r1": "0.9", "r2": "0.2"},
+        "amplitude-damping": {"mu1": "0.04", "mu2": "0.01"},
+        "erasure": {"d": "3", "eps1": "0.8", "eps2": "0.3"},
+    }[family]
+    if kind == "nonmax":
+        values[FAMILIES[family].probe_param] = "0.3"
+    return values
+
+
+def _closed_classes():
+    return [(f, kind) for f, fam in FAMILIES.items() for kind in fam.closed]
+
+
+@pytest.mark.parametrize("family, kind", _closed_classes())
+def test_eval_and_one_point_sweep_agree(family, kind, capsys):
+    values = _one_point_args(family, kind)
+    extra = ["--phases", "0,1,2.5"] if family == "gen-dephasing" else []
+    probe_param = FAMILIES[family].probe_param
+    flags = [a for n, v in values.items() if n != probe_param for a in (f"--{n}", v)]
+    probe = kind  # "single" and "maxent" name eval probe classes as well
+    if kind == "nonmax":
+        probe = f"nonmax:g={values['g']}" if probe_param == "g" else f"schmidt:p={values['p']}"
+    assert main(["eval", family, *flags, *extra, "--probe", probe]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "closed_form"
+
+    params = [a for n, v in values.items() for a in ("--param", f"{n}={v}")]
+    assert main(["sweep", family, *params, *extra, "--probes", f"{kind}-closed"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2
+    assert rows[1].split(",")[4] == repr(payload["probability"])
+
+    # the closed form is attained by the probe it reports
+    fam = FAMILIES[family]
+    v = {n: d for n, d in fam.params.items() if d is not None}
+    v.update({n: float(x) for n, x in values.items()})
+    v["u"] = np.diag(np.exp(1j * np.array([0.0, 1.0, 2.5])))
+    ch1, ch2, _ = fam.make(v)
+    dims, amplitudes = payload["probe"]["dims"], from_pairs(payload["probe"]["amplitudes"])
+    if len(dims) == 1:
+        fixed = discrim_fixed_single(ch1, ch2, SinglePureProbe(amplitudes))
+    else:
+        fixed = discrim_fixed_entangled(ch1, ch2, BipartitePureProbe(*dims, amplitudes))
+    assert payload["probability"] == pytest.approx(fixed.probability, abs=1e-8)
 
 
 def test_custom_identical_channels(tmp_path):

@@ -3,6 +3,9 @@ import pytest
 from scipy.optimize import minimize
 
 from chandiscrim.channels import (
+    Channel,
+    apply,
+    apply_on_A,
     clock_matrix,
     make_amplitude_damping,
     make_depolarizing,
@@ -25,8 +28,10 @@ from chandiscrim.discrimination import (
     ensemble_pairs,
     erasure_closed,
     gen_dephasing_closed,
+    gen_dephasing_maxent_closed,
     gen_dephasing_optimal_probe,
     helstrom,
+    helstrom_pure,
     hull_min_distance,
     hull_nearest_weights,
     mixed_unitary_maxent_bound,
@@ -130,6 +135,45 @@ def test_fixed_dimension_checks():
         discrim_fixed_single(ch1, ch2, random_pure(2, 1))
     with pytest.raises(ValueError, match="probe dimension"):
         discrim_fixed_single(ch1, make_depolarizing(2, 0.3), random_pure(3, 1))
+    with pytest.raises(ValueError, match="probe dimension"):
+        discrim_fixed_entangled(ch1, make_depolarizing(2, 0.3), random_bipartite(3, 2, 1))
+    for p1 in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="p1"):
+            discrim_fixed_single(ch1, make_depolarizing(2, 0.3), random_pure(2, 1), p1)
+        with pytest.raises(ValueError, match="p1"):
+            discrim_fixed_entangled(ch1, make_depolarizing(2, 0.3), max_entangled(2), p1)
+
+
+def _stinespring_channel(rng, dim_in: int, dim_out: int, branches: int) -> Channel:
+    g = rng.standard_normal((dim_out * branches, dim_in))
+    v, _ = np.linalg.qr(g + 1j * rng.standard_normal((dim_out * branches, dim_in)))
+    return Channel(dim_in, dim_out, tuple(np.split(v, branches)))
+
+
+@pytest.mark.parametrize("p1", [0.3, 0.5, 0.8])
+def test_pure_probe_kernel_matches_apply_and_helstrom(p1):
+    # the Kraus-branch kernel against evolving the density matrix explicitly
+    rng = np.random.default_rng(int(10 * p1))
+    for dim_in, dim_out, branches in [(2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 4, 2), (4, 4, 1)]:
+        ch1 = _stinespring_channel(rng, dim_in, dim_out, branches)
+        ch2 = _stinespring_channel(rng, dim_in, dim_out, branches)
+        k1, k2 = np.stack(ch1.kraus), np.stack(ch2.kraus)
+        for _ in range(5):
+            single = random_pure(dim_in, rng)
+            rho = single.density()
+            ref = helstrom(apply(ch1, rho), apply(ch2, rho), p1)
+            for psi in (single.amplitudes, single.amplitudes.reshape(dim_in, 1)):
+                assert abs(helstrom_pure(k1, k2, psi, p1) - ref) <= 1e-14
+            assert abs(discrim_fixed_single(ch1, ch2, single, p1).probability - ref) <= 1e-14
+
+            dim_b = int(rng.integers(1, 4))
+            pair = random_bipartite(dim_in, dim_b, rng)
+            rho = pair.density()
+            ref = helstrom(apply_on_A(ch1, rho, dim_b), apply_on_A(ch2, rho, dim_b), p1)
+            psi = pair.amplitudes.reshape(dim_in, dim_b)
+            assert abs(helstrom_pure(k1, k2, psi, p1) - ref) <= 1e-14
+            value = discrim_fixed_entangled(ch1, ch2, pair, p1).probability
+            assert abs(value - ref) <= 1e-14
 
 
 # --- depolarizing closed forms ---
@@ -294,6 +338,29 @@ def test_gen_dephasing_optimal_probe_attains_closed_form():
         ch2 = make_generalized_dephasing(u, 0.25)
         fixed = discrim_fixed_single(ch1, ch2, probe).probability
         assert fixed == pytest.approx(gen_dephasing_closed(u, 0.85, 0.25), abs=1e-8)
+
+
+def test_gen_dephasing_maxent_closed_matches_fixed_phi_plus():
+    from chandiscrim.channels import make_generalized_dephasing
+
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4):
+        diagonal = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d)))
+        for u in (diagonal, random_unitary(d, rng)):
+            ch1 = make_generalized_dephasing(u, 0.9)
+            ch2 = make_generalized_dephasing(u, 0.2)
+            fixed = discrim_fixed_entangled(ch1, ch2, max_entangled(d)).probability
+            assert gen_dephasing_maxent_closed(u, 0.9, 0.2) == pytest.approx(fixed, abs=1e-12)
+
+
+def test_gen_dephasing_maxent_falls_below_single_optimum():
+    # for d >= 3 the centroid |Tr U|/d is farther out than the nearest hull point
+    u = np.diag(np.exp(1j * np.array([0.0, 1.0, 2.5])))
+    maxent = gen_dephasing_maxent_closed(u, 0.9, 0.2)
+    single = gen_dephasing_closed(u, 0.9, 0.2)
+    assert maxent == pytest.approx(0.7947, abs=1e-4)
+    assert single == pytest.approx(0.8321, abs=1e-4)
+    assert maxent < single
 
 
 # --- amplitude damping closed forms ---

@@ -26,6 +26,8 @@ def test_options_validation():
     with pytest.raises(ValueError):
         OptimizerOptions(step_tolerance=0.0)
     with pytest.raises(ValueError):
+        OptimizerOptions(step_tolerance=float("nan"))  # would end every search at once
+    with pytest.raises(ValueError):
         OptimizerOptions(max_iterations=0)
 
 
