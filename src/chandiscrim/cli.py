@@ -83,16 +83,38 @@ def _unitary_from_args(args) -> np.ndarray:
         raise UsageError(f"unitary file: {exc}") from exc
 
 
+# The flags that carry each non-scalar family input (``Family.inputs``).
+_INPUT_FLAGS = {"u": ("phases", "unitary_json"), "weights": ("weights",)}
+# Every family flag: the scalar parameters of all families, then the input flags.
+_FAMILY_FLAGS = (
+    *dict.fromkeys(n for fam in FAMILIES.values() for n in fam.params),
+    *(f for flags in _INPUT_FLAGS.values() for f in flags),
+)
+
+
 def _family_values(family: str, given: dict, flag: str, args) -> dict:
-    """Parameter dict for ``FAMILIES[family]``: defaults filled, flag inputs added."""
+    """Parameter dict for ``FAMILIES[family]``: defaults filled, flag inputs added.
+
+    A family flag set in ``args`` that the family does not read is an error,
+    so a stray ``--d`` or ``--phases`` is never silently dropped.
+    """
     fam = FAMILIES[family]
+    inputs = [f for name in fam.inputs for f in _INPUT_FLAGS[name]]
+    own = [*fam.params, *inputs]
+    stray = [f for f in _FAMILY_FLAGS if f not in own and getattr(args, f, None) is not None]
+    if stray:
+        shown = [flag + n for n in fam.params] + ["--" + f.replace("_", "-") for f in inputs]
+        raise UsageError(
+            f"family {family!r} takes no --{stray[0].replace('_', '-')}; "
+            f"its flags: {', '.join(shown) or 'none'}"
+        )
     missing = [n for n, default in fam.params.items() if default is None and n not in given]
     if missing:
         raise UsageError(f"family {family!r} requires {', '.join(flag + n for n in missing)}")
     values = {**{n: d for n, d in fam.params.items() if d is not None}, **given}
     if args.phases is not None or args.unitary_json is not None:
         values["u"] = _unitary_from_args(args)
-    if getattr(args, "weights", None):
+    if getattr(args, "weights", None) is not None:
         values["weights"] = _parse_weights(args.weights)
     return values
 

@@ -65,23 +65,27 @@ def helstrom(rho1, rho2, p1: float = 0.5) -> float:
     return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff).values).sum()))
 
 
-def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) -> float:
-    """Helstrom probability of the pure probe ``psi`` through two stacked Kraus sets.
+def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) -> np.ndarray:
+    """Helstrom probabilities of a stack of pure probes through two stacked Kraus sets.
 
-    ``k1`` and ``k2`` have shape (n_kraus, dim_out, dim_in). ``psi`` is a
-    single-system probe as a vector of length dim_in, or a bipartite probe
-    reshaped to dim_in x dim_b. Branch i of a channel maps the probe to
-    (K_i (x) I)|psi>, the flattening of K_i @ psi; with the branches as the
-    rows of B the evolved state is B^T B*. Nothing is checked here: channels
-    and probes are validated when built, dimensions and p1 by the callers.
+    ``k1`` and ``k2`` have shape (n_kraus, dim_out, dim_in). ``psi`` holds m
+    probes: single-system probes as an (m, dim_in) array, or bipartite probes
+    reshaped to (m, dim_in, dim_b). Returns the m probabilities. Branch i of a
+    channel maps a probe to (K_i (x) I)|psi>, the flattening of K_i @ psi;
+    with the branches as the rows of B the evolved state is B^T B*. Each probe
+    takes the same per-matrix BLAS and LAPACK calls whatever the stack around
+    it, so row j equals the value of probe j alone bit for bit. Nothing is
+    checked here: channels and probes are validated when built, dimensions
+    and p1 by the callers.
     """
-    b1 = k1 @ psi
-    b2 = k2 @ psi
-    if psi.ndim == 2:  # one row per branch: K_i @ psi flattened over (out, B)
-        b1 = b1.reshape(len(b1), -1)
-        b2 = b2.reshape(len(b2), -1)
-    diff = p1 * (b1.T @ b1.conj()) - (1.0 - p1) * (b2.T @ b2.conj())
-    return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(diff)).sum()))
+    if psi.ndim == 2:  # a single-system probe is a bipartite one with dim_b = 1
+        psi = psi[:, :, None]
+    b1 = k1 @ psi[:, None]  # (m, n_kraus, dim_out, dim_b)
+    b2 = k2 @ psi[:, None]
+    b1 = b1.reshape(*b1.shape[:2], -1)  # one row per branch, flattened over (out, B)
+    b2 = b2.reshape(*b2.shape[:2], -1)
+    diff = p1 * (b1.swapaxes(1, 2) @ b1.conj()) - (1.0 - p1) * (b2.swapaxes(1, 2) @ b2.conj())
+    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1))
 
 
 def _check_same_dims(ch1: Channel, ch2: Channel):
@@ -101,7 +105,7 @@ def _fixed_probe_value(ch1: Channel, ch2: Channel, psi: np.ndarray, p1: float) -
     p1 = float(p1)
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    return helstrom_pure(np.stack(ch1.kraus), np.stack(ch2.kraus), psi, p1)
+    return float(helstrom_pure(np.stack(ch1.kraus), np.stack(ch2.kraus), psi[None], p1)[0])
 
 
 def discrim_fixed_single(
@@ -422,16 +426,18 @@ class Family:
     ``make(values)`` builds the validated pair from a dict holding those
     parameters and returns ``(ch1, ch2, report)``, ``report`` being the
     parameters as shown to the user. Non-scalar inputs travel in the same
-    dict: the unitary ``u`` of gen-dephasing and the mixed-unitary
-    ``weights``. ``closed`` maps "single", "maxent" and "nonmax" to functions
-    of the same dict returning ``(probability, probe, detail)``; they assume
-    equal priors. The "nonmax" form also reads ``probe_param`` from the dict.
+    dict, and ``inputs`` names the ones ``make`` reads: the unitary ``u`` of
+    gen-dephasing and the mixed-unitary ``weights``. ``closed`` maps
+    "single", "maxent" and "nonmax" to functions of the same dict returning
+    ``(probability, probe, detail)``; they assume equal priors. The "nonmax"
+    form also reads ``probe_param`` from the dict.
     """
 
     params: Mapping[str, float | None]
     make: Callable[[dict], tuple[Channel, Channel, dict]]
     closed: Mapping[str, Callable[[dict], tuple]] = field(default_factory=dict)
     probe_param: str | None = None
+    inputs: tuple[str, ...] = ()
 
 
 def _dim(values: dict) -> int:
@@ -513,6 +519,7 @@ FAMILIES: dict[str, Family] = {
     "gen-dephasing": Family(
         params={"r1": None, "r2": None},
         make=_make_gen_dephasing,
+        inputs=("u",),
         closed={
             "single": lambda v: (
                 gen_dephasing_closed(v["u"], v["r1"], v["r2"]),
@@ -550,6 +557,10 @@ FAMILIES: dict[str, Family] = {
             ),
         },
     ),
-    "mixed-unitary-d3": Family(params={}, make=lambda v: _make_mixed_unitary(v, 3)),
-    "mixed-unitary-d6": Family(params={}, make=lambda v: _make_mixed_unitary(v, 6)),
+    "mixed-unitary-d3": Family(
+        params={}, make=lambda v: _make_mixed_unitary(v, 3), inputs=("weights",)
+    ),
+    "mixed-unitary-d6": Family(
+        params={}, make=lambda v: _make_mixed_unitary(v, 6), inputs=("weights",)
+    ),
 }

@@ -62,7 +62,7 @@ def test_eval_json_round_trips_full_precision():
     assert value == 0.526207120918048
 
 
-def test_eval_rejects_bad_parameters():
+def test_eval_rejects_bad_parameters(capsys):
     proc = run_cli(
         "eval", "depolarizing", "--d", "2", "--q1", "1.5", "--q2", "0.3",
         "--probe", "single",
@@ -88,6 +88,27 @@ def test_eval_rejects_bad_parameters():
     proc = run_cli(*base, "--d", "0")
     assert proc.returncode == 2
     assert "d must be at least 2" in proc.stderr
+
+    # a family flag the family does not read used to be dropped silently
+    stray = [
+        (("amplitude-damping", "--d", "7", "--mu1", "0.04", "--mu2", "0.01"),
+         "takes no --d; its flags: --mu1, --mu2"),
+        (("depolarizing", "--q1", "0.9", "--q2", "0.3", "--phases", "0,1"),
+         "takes no --phases; its flags: --d, --q1, --q2"),
+        (("dephasing", "--r1", "0.9", "--r2", "0.3", "--unitary-json", "u.json"),
+         "takes no --unitary-json"),
+        (("erasure", "--eps1", "0.9", "--eps2", "0.3", "--weights", "0.2,0.3,0.5"),
+         "takes no --weights"),
+        (("gen-dephasing", "--r1", "0.9", "--r2", "0.3", "--phases", "0,1", "--weights", "1,1,1"),
+         "its flags: --r1, --r2, --phases, --unitary-json"),
+        (("mixed-unitary-d3", "--d", "3"), "takes no --d; its flags: --weights"),
+        # an empty --weights used to fall back to the default weights
+        (("mixed-unitary-d3", "--weights", ""), "--weights expects three"),
+    ]
+    for family_args, message in stray:
+        assert main(["eval", *family_args, "--probe", "single:|0>"]) == 2, family_args
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 def test_eval_mixed_unitary_probes():

@@ -152,28 +152,40 @@ def _stinespring_channel(rng, dim_in: int, dim_out: int, branches: int) -> Chann
 
 @pytest.mark.parametrize("p1", [0.3, 0.5, 0.8])
 def test_pure_probe_kernel_matches_apply_and_helstrom(p1):
-    # the Kraus-branch kernel against evolving the density matrix explicitly
+    # the Kraus-branch kernel against evolving the density matrix explicitly,
+    # fed stacks of several probes and of one
     rng = np.random.default_rng(int(10 * p1))
     for dim_in, dim_out, branches in [(2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 4, 2), (4, 4, 1)]:
         ch1 = _stinespring_channel(rng, dim_in, dim_out, branches)
         ch2 = _stinespring_channel(rng, dim_in, dim_out, branches)
         k1, k2 = np.stack(ch1.kraus), np.stack(ch2.kraus)
-        for _ in range(5):
-            single = random_pure(dim_in, rng)
-            rho = single.density()
-            ref = helstrom(apply(ch1, rho), apply(ch2, rho), p1)
-            for psi in (single.amplitudes, single.amplitudes.reshape(dim_in, 1)):
-                assert abs(helstrom_pure(k1, k2, psi, p1) - ref) <= 1e-14
-            assert abs(discrim_fixed_single(ch1, ch2, single, p1).probability - ref) <= 1e-14
-
-            dim_b = int(rng.integers(1, 4))
-            pair = random_bipartite(dim_in, dim_b, rng)
-            rho = pair.density()
-            ref = helstrom(apply_on_A(ch1, rho, dim_b), apply_on_A(ch2, rho, dim_b), p1)
-            psi = pair.amplitudes.reshape(dim_in, dim_b)
-            assert abs(helstrom_pure(k1, k2, psi, p1) - ref) <= 1e-14
-            value = discrim_fixed_entangled(ch1, ch2, pair, p1).probability
-            assert abs(value - ref) <= 1e-14
+        dim_b = int(rng.integers(1, 4))
+        singles = [random_pure(dim_in, rng) for _ in range(5)]
+        pairs = [random_bipartite(dim_in, dim_b, rng) for _ in range(5)]
+        single_refs = [
+            helstrom(apply(ch1, s.density()), apply(ch2, s.density()), p1) for s in singles
+        ]
+        pair_refs = [
+            helstrom(
+                apply_on_A(ch1, pr.density(), dim_b), apply_on_A(ch2, pr.density(), dim_b), p1
+            )
+            for pr in pairs
+        ]
+        stacks = [
+            (np.stack([s.amplitudes for s in singles]), single_refs),
+            (np.stack([s.amplitudes.reshape(dim_in, 1) for s in singles]), single_refs),
+            (np.stack([pr.amplitudes.reshape(dim_in, dim_b) for pr in pairs]), pair_refs),
+        ]
+        for psi, refs in stacks:
+            values = helstrom_pure(k1, k2, psi, p1)
+            assert values.shape == (len(refs),)
+            for i, ref in enumerate(refs):
+                assert abs(values[i] - ref) <= 1e-14
+                assert helstrom_pure(k1, k2, psi[i : i + 1], p1)[0] == values[i]
+        for s, ref in zip(singles, single_refs):
+            assert abs(discrim_fixed_single(ch1, ch2, s, p1).probability - ref) <= 1e-14
+        for pr, ref in zip(pairs, pair_refs):
+            assert abs(discrim_fixed_entangled(ch1, ch2, pr, p1).probability - ref) <= 1e-14
 
 
 # --- depolarizing closed forms ---

@@ -14,8 +14,24 @@ from chandiscrim.discrimination import (
     depolarizing_single_closed,
     discrim_fixed_single,
 )
-from chandiscrim.optimize import OptimizerOptions, optimize_entangled, optimize_single
-from chandiscrim.probes import SinglePureProbe, bloch_qubit
+from chandiscrim.optimize import (
+    OptimizerOptions,
+    _best_bloch_grid_point,
+    _objective,
+    _random_starts,
+    _run_multistart,
+    _vector_to_params,
+    optimize_entangled,
+    optimize_single,
+)
+from chandiscrim.probes import (
+    BipartitePureProbe,
+    SinglePureProbe,
+    basis_probe,
+    bloch_qubit,
+    max_entangled,
+    uniform_superposition,
+)
 
 FAST = OptimizerOptions(restarts=4, seed=11)
 
@@ -136,3 +152,66 @@ def test_objective_agrees_with_fixed_evaluation():
     )
     fixed = discrim_fixed_single(ch1, ch2, probe).probability
     assert res.probability == pytest.approx(fixed, abs=1e-12)
+
+
+def test_warm_starts_must_match_the_channel_dimensions():
+    ch1, ch2 = make_dephasing(3, 0.9), make_dephasing(3, 0.2)
+    with pytest.raises(ValueError, match="warm start has dimension 2, expected 3"):
+        optimize_single(ch1, ch2, FAST, warm_starts=[SinglePureProbe(np.array([1.0, 0.0]))])
+    for dim_a, dim_b in [(2, 3), (3, 2)]:
+        amps = np.zeros(dim_a * dim_b)
+        amps[0] = 1.0
+        with pytest.raises(ValueError, match=f"{dim_a}x{dim_b}, expected 3x3"):
+            optimize_entangled(
+                ch1, ch2, FAST, warm_starts=[BipartitePureProbe(dim_a, dim_b, amps)]
+            )
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_lockstep_multistart_equals_each_start_alone(entangled):
+    # restarts evaluated together in stacked calls follow the trajectories
+    # they follow one by one, bit for bit
+    opts = OptimizerOptions(restarts=3, seed=8)
+    rng = np.random.default_rng(opts.seed)
+    if entangled:
+        d = 3
+        ch1, ch2 = make_depolarizing(d, 0.8), make_depolarizing(d, 0.3)
+        fn = _objective(ch1, ch2, (d, d))
+        starts = [_vector_to_params(max_entangled(d).amplitudes)]
+        starts.extend(_random_starts(rng, opts.restarts, 2 * d * d))
+    else:
+        ch1, ch2 = make_amplitude_damping(0.3), make_amplitude_damping(0.1)
+        fn = _objective(ch1, ch2, (2,))
+        starts = [
+            _vector_to_params(uniform_superposition(2).amplitudes),
+            _vector_to_params(basis_probe(2, 0).amplitudes),
+            _best_bloch_grid_point(fn)[0],
+        ]
+        starts.extend(_random_starts(rng, opts.restarts, 4))
+
+    x, fx, meta = _run_multistart(fn, starts, opts)
+    alone = [_run_multistart(fn, [x0], opts) for x0 in starts]
+    assert meta["restart_values"] == [a_fx for _, a_fx, _ in alone]
+    assert meta["evaluations"] == sum(a_meta["evaluations"] for _, _, a_meta in alone)
+    best = int(np.argmax(meta["restart_values"]))
+    a_x, a_fx, a_meta = alone[best]
+    assert np.array_equal(x, a_x)
+    assert fx == a_fx
+    assert meta["iterations"] == a_meta["iterations"]
+    assert meta["final_step"] == a_meta["final_step"]
+
+
+def test_pinned_trajectories():
+    # exact values and evaluation counts of two searches as the optimizer gave
+    # them when it ran one restart after another; a change that moves a
+    # trajectory fails here
+    res = optimize_single(
+        make_amplitude_damping(0.3), make_amplitude_damping(0.1), OptimizerOptions(restarts=4)
+    )
+    assert res.probability.hex() == "0x1.3333333333334p-1"
+    assert res.optimizer_meta["evaluations"] == 3760
+    res = optimize_entangled(
+        make_dephasing(3, 0.9), make_dephasing(3, 0.2), OptimizerOptions(restarts=2)
+    )
+    assert res.probability.hex() == "0x1.b333333333336p-1"
+    assert res.optimizer_meta["evaluations"] == 5726
