@@ -1,8 +1,10 @@
 """Command-line front end: evaluate, sweep, ingest custom channels, verify.
 
 Exit codes: 0 success, 2 invalid arguments or schema, 3 I/O failure,
-4 CPTP validation failure. All probabilities are printed with shortest
-round-trip decimals so JSON and CSV outputs diff cleanly across runs.
+4 CPTP validation failure. The subcommands raise; ``main`` alone turns the
+exception into an exit code, so every subcommand maps errors the same way.
+All probabilities are printed with shortest round-trip decimals so JSON and
+CSV outputs diff cleanly across runs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -41,13 +44,25 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CPTP = 4
 
-class UsageError(ValueError):
-    """Invalid parameters or malformed input files (exit code 2)."""
+
+def _read_json(path: str):
+    """The JSON document in ``path``: OSError if it cannot be opened, else ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise OSError(f"cannot read {path!r}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as it is (no newline translation)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -58,29 +73,23 @@ def _fail(code: int, message: str) -> int:
 def _parse_weights(text: str) -> tuple[float, float, float]:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 3:
-        raise UsageError(f"--weights expects three comma-separated values, got {text!r}")
+        raise ValueError(f"--weights expects three comma-separated values, got {text!r}")
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
 def _unitary_from_args(args) -> np.ndarray:
     if args.phases is not None and args.unitary_json is not None:
-        raise UsageError("give either --phases or --unitary-json, not both")
+        raise ValueError("give either --phases or --unitary-json, not both")
     if args.phases is not None:
         phases = [float(p) for p in args.phases.split(",") if p.strip()]
         if len(phases) < 2:
-            raise UsageError("--phases needs at least two comma-separated angles")
+            raise ValueError("--phases needs at least two comma-separated angles")
         return np.diag(np.exp(1j * np.array(phases)))
-    try:
-        with open(args.unitary_json, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read unitary file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"unitary file is not valid JSON: {exc}") from exc
+    data = _read_json(args.unitary_json)
     try:
         return from_pairs(data)
-    except ValueError as exc:
-        raise UsageError(f"unitary file: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"unitary file: {exc}") from exc
 
 
 # The flags that carry each non-scalar family input (``Family.inputs``).
@@ -104,13 +113,13 @@ def _family_values(family: str, given: dict, flag: str, args) -> dict:
     stray = [f for f in _FAMILY_FLAGS if f not in own and getattr(args, f, None) is not None]
     if stray:
         shown = [flag + n for n in fam.params] + ["--" + f.replace("_", "-") for f in inputs]
-        raise UsageError(
+        raise ValueError(
             f"family {family!r} takes no --{stray[0].replace('_', '-')}; "
             f"its flags: {', '.join(shown) or 'none'}"
         )
     missing = [n for n, default in fam.params.items() if default is None and n not in given]
     if missing:
-        raise UsageError(f"family {family!r} requires {', '.join(flag + n for n in missing)}")
+        raise ValueError(f"family {family!r} requires {', '.join(flag + n for n in missing)}")
     values = {**{n: d for n, d in fam.params.items() if d is not None}, **given}
     if args.phases is not None or args.unitary_json is not None:
         values["u"] = _unitary_from_args(args)
@@ -128,7 +137,7 @@ def _parse_kv(text: str, what: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for piece in text.split(","):
         if "=" not in piece:
-            raise UsageError(f"malformed {what} spec near {piece!r}")
+            raise ValueError(f"malformed {what} spec near {piece!r}")
         key, value = piece.split("=", 1)
         out[key.strip()] = value.strip()
     return out
@@ -138,13 +147,13 @@ def _parse_zeta(body: str) -> tuple[complex, complex]:
     # format: c1=<re>,<im>,c2=<re>,<im>
     marker = ",c2="
     if not body.startswith("c1=") or marker not in body:
-        raise UsageError("zeta probe spec must look like zeta:c1=<re>,<im>,c2=<re>,<im>")
+        raise ValueError("zeta probe spec must look like zeta:c1=<re>,<im>,c2=<re>,<im>")
     left, right = body.split(marker, 1)
     try:
         re1, im1 = (float(x) for x in left[len("c1="):].split(","))
         re2, im2 = (float(x) for x in right.split(","))
     except ValueError as exc:
-        raise UsageError(f"zeta probe spec has non-numeric components: {exc}") from exc
+        raise ValueError(f"zeta probe spec has non-numeric components: {exc}") from exc
     return complex(re1, im1), complex(re2, im2)
 
 
@@ -155,16 +164,16 @@ def _fixed_single_probe(body: str, dim: int):
         try:
             index = int(body[1:-1])
         except ValueError as exc:
-            raise UsageError(f"bad basis probe spec {body!r}") from exc
+            raise ValueError(f"bad basis probe spec {body!r}") from exc
         return basis_probe(dim, index)
     if body.startswith("theta="):
         kv = _parse_kv(body, "single probe")
         theta = float(kv.get("theta", "0"))
         delta = float(kv.get("delta", "0"))
         if dim != 2:
-            raise UsageError("theta/delta probes are qubit-only")
+            raise ValueError("theta/delta probes are qubit-only")
         return bloch_qubit(theta, delta)
-    raise UsageError(
+    raise ValueError(
         f"bad single probe spec {body!r}; use single:uniform, single:|k>, "
         f"or single:theta=<t>,delta=<d>"
     )
@@ -198,68 +207,58 @@ def evaluate_probe_class(
 
     if head in ("single", "product") and not body:
         if "single" not in closed:
-            raise UsageError(
+            raise ValueError(
                 f"family {family!r} has no single-probe closed form; use "
                 f"single:|k>, single:uniform, or optimize-single"
             )
         if p1 != 0.5:
-            raise UsageError("closed forms assume equal priors; drop --p1 or use a fixed probe")
+            raise ValueError("closed forms assume equal priors; drop --p1 or use a fixed probe")
         return _closed_result(closed["single"](values), head)
 
+    if head == "single" and body:
+        return discrim_fixed_single(ch1, ch2, _fixed_single_probe(body, ch1.dim_in), p1)
+
+    if spec in ("optimize-single", "optimize-ent"):
+        if p1 != 0.5:
+            raise ValueError("the optimizers assume equal priors")
+        run = optimize_single if spec == "optimize-single" else optimize_entangled
+        return run(ch1, ch2, opts)
+
+    # Every other class, where no closed form applies, is one fixed bipartite probe.
     if head == "maxent" and not body:
         if p1 == 0.5 and "maxent" in closed:
             return _closed_result(closed["maxent"](values), "max_entangled")
-        fixed = discrim_fixed_entangled(ch1, ch2, max_entangled(ch1.dim_in), p1)
-        fixed.probe_class = "max_entangled"
-        return fixed
-
-    if head in ("nonmax", "schmidt"):
+        probe_class, probe = "max_entangled", max_entangled(ch1.dim_in)
+    elif head in ("nonmax", "schmidt"):
         name = "g" if head == "nonmax" else "p"
         kv = _parse_kv(body, f"{head} probe")
         if name not in kv:
-            raise UsageError(f"{head} probe spec must give {name}, e.g. {head}:{name}=0.3")
+            raise ValueError(f"{head} probe spec must give {name}, e.g. {head}:{name}=0.3")
         x = float(kv[name])
         z = float(kv.get("z", "0")) if head == "nonmax" else 0.0
         if p1 == 0.5 and fam is not None and fam.probe_param == name:
             return _closed_result(closed["nonmax"]({**values, name: x, "z": z}), head)
         if ch1.dim_in != 2:
-            raise UsageError(f"{head}:{name} probes are qubit probes; channel input must be 2")
+            raise ValueError(f"{head}:{name} probes are qubit probes; channel input must be 2")
+        probe_class = head
         probe = nonmax_qubit(x, z) if head == "nonmax" else schmidt_pair(x)
-        fixed = discrim_fixed_entangled(ch1, ch2, probe, p1)
-        fixed.probe_class = head
-        return fixed
-
-    if head == "zeta":
+    elif head == "zeta":
         c1, c2 = _parse_zeta(body)
         if ch1.dim_in != 3:
-            raise UsageError("zeta probes live on qutrits; channel input must be 3")
-        fixed = discrim_fixed_entangled(ch1, ch2, zeta_probe(c1, c2), p1)
-        fixed.probe_class = "zeta"
-        return fixed
-
-    if head == "single" and body:
-        probe = _fixed_single_probe(body, ch1.dim_in)
-        return discrim_fixed_single(ch1, ch2, probe, p1)
-
-    if head == "product" and body:
-        probe = _fixed_single_probe(body, ch1.dim_in)
-        fixed = discrim_fixed_entangled(
-            ch1, ch2, product_probe(probe, basis_probe(2, 0)), p1
+            raise ValueError("zeta probes live on qutrits; channel input must be 3")
+        probe_class, probe = "zeta", zeta_probe(c1, c2)
+    elif head == "product":
+        single = _fixed_single_probe(body, ch1.dim_in)
+        probe_class, probe = "product", product_probe(single, basis_probe(2, 0))
+    else:
+        raise ValueError(
+            f"unknown probe class {probe_spec!r}; expected single, product, maxent, "
+            f"nonmax:g=<x>, schmidt:p=<x>, zeta:c1=<re>,<im>,c2=<re>,<im>, "
+            f"single:|k>, single:uniform, optimize-single, or optimize-ent"
         )
-        fixed.probe_class = "product"
-        return fixed
-
-    if spec in ("optimize-single", "optimize-ent"):
-        if p1 != 0.5:
-            raise UsageError("the optimizers assume equal priors")
-        run = optimize_single if spec == "optimize-single" else optimize_entangled
-        return run(ch1, ch2, opts)
-
-    raise UsageError(
-        f"unknown probe class {probe_spec!r}; expected single, product, maxent, "
-        f"nonmax:g=<x>, schmidt:p=<x>, zeta:c1=<re>,<im>,c2=<re>,<im>, "
-        f"single:|k>, single:uniform, optimize-single, or optimize-ent"
-    )
+    result = discrim_fixed_entangled(ch1, ch2, probe, p1)
+    result.probe_class = probe_class
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -267,69 +266,57 @@ def evaluate_probe_class(
 # ---------------------------------------------------------------------------
 
 
-def _result_payload(family: str, params: dict, p1: float, result: DiscriminationResult) -> dict:
-    return {
+def _print_result(family: str, params: dict, args, result: DiscriminationResult) -> int:
+    payload = {
         "family": family,
         "params": params,
-        "p1": p1,
+        "p1": args.p1,
         "probe_class": result.probe_class,
         "method": result.method,
         "probability": result.probability,
         "probe": result.probe,
         "optimizer_meta": result.optimizer_meta,
     }
-
-
-def _emit(text: str, out_path: str | None) -> int:
+    text = json.dumps(payload, indent=2)
     print(text)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {out_path!r}: {exc}")
+    if args.out:
+        _write(args.out, text + "\n")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
-        opts = _optimizer_options(args)
-        fam = FAMILIES[args.family]
-        given = {n: getattr(args, n) for n in fam.params if getattr(args, n) is not None}
-        values = _family_values(args.family, given, "--", args)
-        ch1, ch2, params = fam.make(values)
-        result = evaluate_probe_class(args.family, values, ch1, ch2, args.probe, args.p1, opts)
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except CPTPError as exc:
-        return _fail(EXIT_CPTP, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    payload = _result_payload(args.family, params, args.p1, result)
-    return _emit(json.dumps(payload, indent=2), args.out)
+    opts = _optimizer_options(args)
+    fam = FAMILIES[args.family]
+    given = {n: getattr(args, n) for n in fam.params if getattr(args, n) is not None}
+    values = _family_values(args.family, given, "--", args)
+    ch1, ch2, params = fam.make(values)
+    result = evaluate_probe_class(args.family, values, ch1, ch2, args.probe, args.p1, opts)
+    return _print_result(args.family, params, args, result)
 
 
 def _parse_param_spec(text: str) -> tuple[str, list[float]]:
     if "=" not in text:
-        raise UsageError(f"--param expects name=value or name=start:stop:step, got {text!r}")
+        raise ValueError(f"--param expects name=value or name=start:stop:step, got {text!r}")
     name, spec = text.split("=", 1)
     name = name.strip()
     if ":" in spec:
         pieces = spec.split(":")
         if len(pieces) != 3:
-            raise UsageError(f"range spec must be start:stop:step, got {spec!r}")
+            raise ValueError(f"range spec must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in pieces)
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ValueError(f"range start, stop and step must be finite, got {spec!r}")
         if step <= 0:
-            raise UsageError(f"range step must be positive, got {step!r}")
+            raise ValueError(f"range step must be positive, got {step!r}")
         values = []
         v = start
         while v <= stop + 1e-12 * max(1.0, abs(stop)):
             values.append(round(v, 12))
+            if v + step == v:
+                raise ValueError(f"range step {step!r} does not advance from {v!r}")
             v += step
         if not values:
-            raise UsageError(f"range {spec!r} produced no values")
+            raise ValueError(f"range {spec!r} produced no values")
         return name, values
     return name, [float(spec)]
 
@@ -346,74 +333,66 @@ def _sweep_value(family: str, values: dict, ch1, ch2, probe_class: str, opts) ->
     fam = FAMILIES[family]
     kind = probe_class[: -len("-closed")]
     if kind not in fam.closed:
-        raise UsageError(f"{probe_class} is not available for family {family!r}")
+        raise ValueError(f"{probe_class} is not available for family {family!r}")
     if kind == "nonmax" and fam.probe_param not in values:
-        raise UsageError(f"nonmax-closed for {family} needs a {fam.probe_param} parameter")
+        raise ValueError(f"nonmax-closed for {family} needs a {fam.probe_param} parameter")
     value, _, detail = fam.closed[kind](values)
     return float(value), detail
 
 
 def cmd_sweep(args) -> int:
-    try:
-        fam = FAMILIES[args.family]
-        known = [*fam.params, *([fam.probe_param] if fam.probe_param else [])]
-        params: dict[str, list[float]] = {}
-        for spec in args.param or []:
-            name, values = _parse_param_spec(spec)
-            if name in params:
-                raise UsageError(f"parameter {name!r} given twice")
-            if name not in known:
-                raise UsageError(
-                    f"family {args.family!r} has no parameter {name!r}; "
-                    f"its parameters: {', '.join(known) or 'none'}"
-                )
-            params[name] = values
-        if not params:
-            raise UsageError("sweep needs at least one --param")
-        ranged = [n for n, vs in params.items() if len(vs) > 1]
-        if len(ranged) > 2:
-            raise UsageError(f"at most two parameters may be ranged, got {ranged}")
-        probe_classes = sorted({p.strip() for p in args.probes.split(",") if p.strip()})
-        if not probe_classes:
-            raise UsageError("--probes needs at least one probe class")
-        for pc in probe_classes:
-            if pc not in _SWEEP_CLASSES:
-                raise UsageError(
-                    f"unknown sweep probe class {pc!r}; expected one of {_SWEEP_CLASSES}"
-                )
-        opts = _optimizer_options(args)
+    fam = FAMILIES[args.family]
+    known = [*fam.params, *([fam.probe_param] if fam.probe_param else [])]
+    params: dict[str, list[float]] = {}
+    for spec in args.param or []:
+        name, values = _parse_param_spec(spec)
+        if name in params:
+            raise ValueError(f"parameter {name!r} given twice")
+        if name not in known:
+            raise ValueError(
+                f"family {args.family!r} has no parameter {name!r}; "
+                f"its parameters: {', '.join(known) or 'none'}"
+            )
+        params[name] = values
+    if not params:
+        raise ValueError("sweep needs at least one --param")
+    ranged = [n for n, vs in params.items() if len(vs) > 1]
+    if len(ranged) > 2:
+        raise ValueError(f"at most two parameters may be ranged, got {ranged}")
+    probe_classes = sorted({p.strip() for p in args.probes.split(",") if p.strip()})
+    if not probe_classes:
+        raise ValueError("--probes needs at least one probe class")
+    for pc in probe_classes:
+        if pc not in _SWEEP_CLASSES:
+            raise ValueError(
+                f"unknown sweep probe class {pc!r}; expected one of {_SWEEP_CLASSES}"
+            )
+    opts = _optimizer_options(args)
 
-        axis = ranged if ranged else list(params)[:1]
-        rows = []
-        grids = [sorted(params[name]) for name in axis]
-        mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
-            (a, b) for a in grids[0] for b in grids[1]
-        ]
-        for point in mesh:
-            given = {n: vs[0] for n, vs in params.items()}
-            given.update(zip(axis, point))
-            values = _family_values(args.family, given, "--param ", args)
-            ch1, ch2, report = fam.make(values)
-            shown = {n: report.get(n, v) for n, v in values.items() if n in known}
-            for pc in probe_classes:
-                value, detail = _sweep_value(args.family, values, ch1, ch2, pc, opts)
-                rows.append(
-                    (
-                        args.family,
-                        repr(float(point[0])),
-                        repr(float(point[1])) if len(point) > 1 else "",
-                        pc,
-                        repr(value),
-                        json.dumps({**shown, **detail}, sort_keys=True),
-                    )
+    axis = ranged if ranged else list(params)[:1]
+    rows = []
+    grids = [sorted(params[name]) for name in axis]
+    mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
+        (a, b) for a in grids[0] for b in grids[1]
+    ]
+    for point in mesh:
+        given = {n: vs[0] for n, vs in params.items()}
+        given.update(zip(axis, point))
+        values = _family_values(args.family, given, "--param ", args)
+        ch1, ch2, report = fam.make(values)
+        shown = {n: report.get(n, v) for n, v in values.items() if n in known}
+        for pc in probe_classes:
+            value, detail = _sweep_value(args.family, values, ch1, ch2, pc, opts)
+            rows.append(
+                (
+                    args.family,
+                    repr(float(point[0])),
+                    repr(float(point[1])) if len(point) > 1 else "",
+                    pc,
+                    repr(value),
+                    json.dumps({**shown, **detail}, sort_keys=True),
                 )
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except (CPTPError, ValueError) as exc:
-        code = EXIT_CPTP if isinstance(exc, CPTPError) else EXIT_USAGE
-        return _fail(code, str(exc))
+            )
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -421,72 +400,31 @@ def cmd_sweep(args) -> int:
     writer.writerows(rows)
     text = buffer.getvalue()
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {args.out!r}: {exc}")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_custom(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read {args.file!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_USAGE, f"{args.file!r} is not valid JSON: {exc}")
+    data = _read_json(args.file)
     if not isinstance(data, dict) or "channel1" not in data or "channel2" not in data:
-        return _fail(
-            EXIT_USAGE, 'custom file must be an object with "channel1" and "channel2"'
-        )
-    try:
-        ch1 = channel_from_dict(data["channel1"])
-        ch2 = channel_from_dict(data["channel2"])
-    except CPTPError as exc:
-        return _fail(
-            EXIT_CPTP,
-            f"channel failed CPTP validation: sum K†K residual = "
-            f"{exc.tp_residual:.3e}, min Choi eigenvalue = {exc.choi_min_eigenvalue:.3e}",
-        )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
-    try:
-        opts = _optimizer_options(args)
-        result = evaluate_probe_class("custom", {}, ch1, ch2, args.probe, args.p1, opts)
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    payload = _result_payload("custom", {"file": args.file}, args.p1, result)
-    return _emit(json.dumps(payload, indent=2), args.out)
+        raise ValueError('custom file must be an object with "channel1" and "channel2"')
+    ch1 = channel_from_dict(data["channel1"])
+    ch2 = channel_from_dict(data["channel2"])
+    opts = _optimizer_options(args)
+    result = evaluate_probe_class("custom", {}, ch1, ch2, args.probe, args.p1, opts)
+    return _print_result("custom", {"file": args.file}, args, result)
 
 
 def cmd_verify(args) -> int:
-    only = None
-    if args.only:
-        try:
-            only = {int(x) for x in args.only.split(",") if x.strip()}
-        except ValueError:
-            return _fail(EXIT_USAGE, f"--only expects comma-separated integers, got {args.only!r}")
     reports = run_acceptance(
-        tolerance_scale=args.tolerance_scale, seed=args.seed or 0, only=only
+        tolerance_scale=args.tolerance_scale, seed=args.seed or 0, only=args.only
     )
     as_json = json.dumps([r.to_dict() for r in reports], indent=2)
-    if args.json:
-        print(as_json)
-    else:
-        print(render_table(reports))
+    print(as_json if args.json else render_table(reports))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(as_json + "\n")
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {args.out!r}: {exc}")
+        _write(args.out, as_json + "\n")
     return EXIT_OK if all(r.passed for r in reports) else 1
 
 
@@ -495,16 +433,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def criteria(text: str) -> set[int]:
+    """The ``--only`` numbers; ``run_acceptance`` rejects unknown ones."""
+    return {int(x) for x in text.split(",") if x.strip()}
+
+
 def _optimizer_options(args) -> OptimizerOptions:
-    kwargs = {}
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    if getattr(args, "step_tolerance", None) is not None:
-        kwargs["step_tolerance"] = args.step_tolerance
-    if getattr(args, "max_iterations", None) is not None:
-        kwargs["max_iterations"] = args.max_iterations
-    kwargs["seed"] = args.seed or 0
-    return OptimizerOptions(**kwargs)
+    names = ("restarts", "step_tolerance", "max_iterations")
+    given = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+    return OptimizerOptions(**given, seed=args.seed or 0)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -569,7 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
     p_verify.add_argument("--tolerance-scale", type=float, default=1.0)
-    p_verify.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    p_verify.add_argument(
+        "--only", type=criteria, default=None, help="comma-separated criterion numbers"
+    )
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -577,9 +516,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; the only place an exception becomes an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CPTPError as exc:  # a ValueError, so it is caught first
+        code, error = EXIT_CPTP, exc
+    except OSError as exc:
+        code, error = EXIT_IO, exc
+    except ValueError as exc:
+        code, error = EXIT_USAGE, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entrypoint():

@@ -25,6 +25,7 @@ main correctness check of the whole package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,8 +235,13 @@ def optimize_single(
     )
 
 
-def _best_bloch_grid_point(fn):
-    """The first best point of the Bloch-angle grid, all points scored in one call."""
+@functools.cache
+def _bloch_grid_points() -> np.ndarray:
+    """Parameter rows of the Bloch-angle grid, built once per process and read-only.
+
+    Each row comes from ``bloch_qubit``; a vectorized build differs in the last bit
+    of some entries, which would move the searches seeded from the grid.
+    """
     points = np.stack(
         [
             _vector_to_params(bloch_qubit(theta, delta).amplitudes)
@@ -243,6 +249,13 @@ def _best_bloch_grid_point(fn):
             for delta in np.linspace(0.0, 2.0 * np.pi, _BLOCH_GRID, endpoint=False)
         ]
     )
+    points.setflags(write=False)
+    return points
+
+
+def _best_bloch_grid_point(fn):
+    """The first best point of the Bloch-angle grid, all points scored in one call."""
+    points = _bloch_grid_points()
     return points[np.argmax(fn(points))], len(points)
 
 

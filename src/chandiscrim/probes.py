@@ -19,7 +19,7 @@ NORM_ATOL = 1e-12
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= NORM_ATOL:  # also rejects nan and inf
         raise ValueError(f"{what} must be normalized: ||v|| = {norm!r}")
     out = vec.copy()
     out.setflags(write=False)

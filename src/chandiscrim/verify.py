@@ -604,7 +604,14 @@ _CRITERIA = {
 def run_acceptance(
     tolerance_scale: float = 1.0, seed: int = 0, only: set[int] | None = None
 ) -> list[ScenarioReport]:
-    """Run the verification battery; optimizer-based tolerances scale with ``tolerance_scale``."""
+    """Run the verification battery; optimizer-based tolerances scale with ``tolerance_scale``.
+
+    ``only`` picks criteria by number; an empty set or an unknown number is a ValueError.
+    """
+    if only is not None and not (only and set(only).issubset(_CRITERIA)):
+        raise ValueError(
+            f"criteria must be a non-empty set drawn from 1..{len(_CRITERIA)}, got {sorted(only)}"
+        )
     suite = _Suite()
     for number, fn in sorted(_CRITERIA.items()):
         if only is not None and number not in only:
@@ -618,8 +625,6 @@ def run_criterion(
     number: int, tolerance_scale: float = 1.0, seed: int = 0
 ) -> list[ScenarioReport]:
     """Run a single criterion of the battery."""
-    if number not in _CRITERIA:
-        raise ValueError(f"unknown criterion {number}; valid: 1..10")
     return run_acceptance(tolerance_scale=tolerance_scale, seed=seed, only={number})
 
 

@@ -84,6 +84,16 @@ def test_eval_rejects_bad_parameters(capsys):
         assert proc.returncode == 2
         assert "must be positive" in proc.stderr and "Traceback" not in proc.stderr
 
+    # a non-finite probe angle used to print "probability": NaN with exit 0
+    for theta in ("nan", "inf"):
+        proc = run_cli(
+            "eval", "amplitude-damping", "--mu1", "0.3", "--mu2", "0.1",
+            "--probe", f"single:theta={theta}",
+        )
+        assert proc.returncode == 2, proc.stdout
+        assert "normalized" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     # --d 0 used to fall back to d = 2
     proc = run_cli(*base, "--d", "0")
     assert proc.returncode == 2
@@ -220,6 +230,22 @@ def test_sweep_monotone_g_curve(tmp_path):
              "--probes", "single-closed"],
             "d must be an integer",
         ),
+        # ranges that never end used to loop forever
+        (
+            ["amplitude-damping", "--param", "mu1=0.1:inf:0.1", "--param", "mu2=0.3",
+             "--probes", "single-closed"],
+            "must be finite",
+        ),
+        (
+            ["amplitude-damping", "--param", "mu1=0.1:0.2:1e-20", "--param", "mu2=0.3",
+             "--probes", "single-closed"],
+            "does not advance",
+        ),
+        (
+            ["amplitude-damping", "--param", "mu1=nan:0.2:0.1", "--param", "mu2=0.3",
+             "--probes", "single-closed"],
+            "must be finite",
+        ),
     ],
 )
 def test_sweep_rejects_points_eval_rejects(argv, message, capsys):
@@ -317,6 +343,28 @@ def test_custom_schema_and_cptp_errors(tmp_path):
 
     proc = run_cli("custom", str(tmp_path / "missing.json"), "--probe", "single:|0>")
     assert proc.returncode == 3
+    assert "cannot read" in proc.stderr
+
+
+def test_undecodable_input_files_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"channel1": "\xe9"}')
+    not_json = tmp_path / "broken.json"
+    not_json.write_text("{")
+    gen = ["eval", "gen-dephasing", "--r1", "0.9", "--r2", "0.2", "--probe", "single"]
+    # custom used to die with a UnicodeDecodeError traceback on the first file
+    for path in (latin1, not_json):
+        custom = ["custom", str(path), "--probe", "single:|0>"]
+        for argv in (custom, [*gen, "--unitary-json", str(path)]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert f"cannot read {str(path)!r}" in captured.err and captured.out == ""
+
+    # a JSON object where the [re, im] pairs belong used to raise a TypeError traceback
+    not_pairs = tmp_path / "object.json"
+    not_pairs.write_text('{"u": 1}')
+    assert main([*gen, "--unitary-json", str(not_pairs)]) == 2
+    assert "unitary file:" in capsys.readouterr().err
 
 
 def test_verify_subset_passes(tmp_path):
@@ -328,6 +376,14 @@ def test_verify_subset_passes(tmp_path):
     assert reports and all(r["passed"] for r in reports)
     ids = {r["scenario_id"].split(".")[0] for r in reports}
     assert ids == {"c6", "c8", "c9", "c10"}
+
+
+@pytest.mark.parametrize("only", ["11", "0,99", ",", "", "1,11"])
+def test_verify_rejects_unknown_criteria(only, capsys):
+    # these used to print "0/0 checks passed" (or run only the known ones) and exit 0
+    assert main(["verify", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert "1..10" in captured.err and captured.out == ""
 
 
 def test_verify_zero_tolerance_fails_optimizer_checks():

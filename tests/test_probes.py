@@ -116,6 +116,11 @@ def test_every_constructor_is_normalized():
 def test_direct_construction_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         SinglePureProbe(np.array([1.0, 1.0]))
+    # a non-finite norm is not within NORM_ATOL of 1 either
+    with pytest.raises(ValueError, match="normalized"):
+        SinglePureProbe(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        SinglePureProbe(np.array([np.inf, 0.0]))
     with pytest.raises(ValueError, match="match"):
         BipartitePureProbe(2, 3, np.zeros(4))
 
