@@ -212,6 +212,8 @@ def make_dephasing(d: int, r: float) -> Channel:
 def make_generalized_dephasing(u, r: float) -> Channel:
     """Unitary-mixing channel rho -> r*rho + (1-r) U rho U†."""
     u = as_complex(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
+        raise ValueError(f"u must be a square matrix of size at least 2, got shape {u.shape}")
     if not is_unitary(u):
         raise ValueError(
             f"u is not unitary within {1e-10:.0e} (residual {unitarity_defect(u):.3e})"
@@ -357,11 +359,14 @@ def channel_to_dict(ch: Channel) -> dict:
     }
 
 
-def channel_from_dict(data, family: str = "custom", params: Mapping | None = None) -> Channel:
+def channel_from_dict(
+    data, family: str = "custom", params: Mapping | None = None, name: str = "channel"
+) -> Channel:
     """Build a channel from the JSON Kraus schema, validating CPTP on the way.
 
-    Schema violations raise ValueError; a well-formed but non-CPTP Kraus set
-    raises CPTPError.
+    Schema violations, non-finite entries included, raise ValueError; a
+    well-formed but non-CPTP Kraus set raises CPTPError. ``name`` labels the
+    channel in the message of a Kraus matrix that does not decode.
     """
     if not isinstance(data, dict):
         raise ValueError("channel JSON must be an object")
@@ -374,14 +379,16 @@ def channel_from_dict(data, family: str = "custom", params: Mapping | None = Non
     raw = data["kraus"]
     if not isinstance(raw, list) or not raw:
         raise ValueError("kraus must be a non-empty list of matrices")
-    try:
-        kraus = tuple(from_pairs(m) for m in raw)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"malformed Kraus matrix encoding: {exc}") from exc
+    kraus = []
+    for i, m in enumerate(raw):
+        try:
+            kraus.append(from_pairs(m))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{name}: malformed Kraus matrix {i}: {exc}") from exc
     for k in kraus:
         if k.ndim != 2 or k.shape != (dim_out, dim_in):
             raise ValueError(
                 f"Kraus matrix of shape {k.shape} does not match "
                 f"(dim_out, dim_in) = ({dim_out}, {dim_in})"
             )
-    return Channel(dim_in, dim_out, kraus, family=family, params=params or {})
+    return Channel(dim_in, dim_out, tuple(kraus), family=family, params=params or {})

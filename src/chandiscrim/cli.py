@@ -410,8 +410,8 @@ def cmd_custom(args) -> int:
     data = _read_json(args.file)
     if not isinstance(data, dict) or "channel1" not in data or "channel2" not in data:
         raise ValueError('custom file must be an object with "channel1" and "channel2"')
-    ch1 = channel_from_dict(data["channel1"])
-    ch2 = channel_from_dict(data["channel2"])
+    ch1 = channel_from_dict(data["channel1"], name="channel1")
+    ch2 = channel_from_dict(data["channel2"], name="channel2")
     opts = _optimizer_options(args)
     result = evaluate_probe_class("custom", {}, ch1, ch2, args.probe, args.p1, opts)
     return _print_result("custom", {"file": args.file}, args, result)

@@ -72,11 +72,23 @@ def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) ->
     probes: single-system probes as an (m, dim_in) array, or bipartite probes
     reshaped to (m, dim_in, dim_b). Returns the m probabilities. Branch i of a
     channel maps a probe to (K_i (x) I)|psi>, the flattening of K_i @ psi;
-    with the branches as the rows of B the evolved state is B^T B*. Each probe
-    takes the same per-matrix BLAS and LAPACK calls whatever the stack around
-    it, so row j equals the value of probe j alone bit for bit. Nothing is
-    checked here: channels and probes are validated when built, dimensions
-    and p1 by the callers.
+    with the branches as the rows of B the evolved state is B^T B*.
+
+    The difference p1 rho1 - (1 - p1) rho2 = A S A^dagger, where the columns
+    of A are the r = n_kraus1 + n_kraus2 branches and S = diag(p1, ...,
+    -(1 - p1), ...), has rank at most r. When 2r <= D = dim_out * dim_b the
+    kernel takes the Gram form: with A = QR, its nonzero eigenvalues are those
+    of the r x r matrix R S R^dagger, where R^dagger R is the Gram matrix of
+    the branches. Otherwise it takes the eigenvalues of the D x D difference.
+    R comes from a QR factorization rather than from an eigendecomposition of
+    the Gram matrix: a square-rooted eigendecomposition errs by about 1e-8
+    where branches of the two channels are parallel, as for dephasing, while
+    QR keeps the error at rounding level. The form depends only on the shapes.
+
+    Each probe takes the same per-matrix BLAS and LAPACK calls whatever the
+    stack around it, so row j equals the value of probe j alone bit for bit.
+    Nothing is checked here: channels and probes are validated when built,
+    dimensions and p1 by the callers.
     """
     if psi.ndim == 2:  # a single-system probe is a bipartite one with dim_b = 1
         psi = psi[:, :, None]
@@ -84,7 +96,12 @@ def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) ->
     b2 = k2 @ psi[:, None]
     b1 = b1.reshape(*b1.shape[:2], -1)  # one row per branch, flattened over (out, B)
     b2 = b2.reshape(*b2.shape[:2], -1)
-    diff = p1 * (b1.swapaxes(1, 2) @ b1.conj()) - (1.0 - p1) * (b2.swapaxes(1, 2) @ b2.conj())
+    if 2 * (len(k1) + len(k2)) <= b1.shape[-1]:
+        r = np.linalg.qr(np.concatenate([b1, b2], axis=1).swapaxes(1, 2), mode="r")
+        s = np.repeat([p1, -(1.0 - p1)], [len(k1), len(k2)])
+        diff = r @ (s[:, None] * r.conj().swapaxes(1, 2))
+    else:
+        diff = p1 * (b1.swapaxes(1, 2) @ b1.conj()) - (1.0 - p1) * (b2.swapaxes(1, 2) @ b2.conj())
     return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1))
 
 

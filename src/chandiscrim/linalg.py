@@ -178,6 +178,8 @@ def to_pairs(a) -> list:
 def from_pairs(data) -> np.ndarray:
     """Decode nested [re, im] pairs into a complex vector or matrix."""
     arr = np.asarray(data, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"[re, im] pairs must be finite, got {arr[~np.isfinite(arr)][0]}")
     if arr.ndim == 2 and arr.shape[-1] == 2:
         return arr[:, 0] + 1j * arr[:, 1]
     if arr.ndim == 3 and arr.shape[-1] == 2:

@@ -8,15 +8,17 @@ Probes are parameterized as unconstrained real vectors, normalized on
 evaluation, so the global phase and scale are harmless gauge directions.
 
 The restarts of a multistart run in lockstep. Each compass search is a
-generator that yields the next point it needs and waits for its value; every
-round, the pending points of all live searches are scored by one stacked
-``helstrom_pure`` call. An evaluation costs about ten numpy calls on matrices
-of at most 36x36, so batching them saves call overhead rather than
-arithmetic. The result does not depend on the batching: a search sees only
-the values of its own points, so it follows the same first-improvement path
-as it would alone, and every row of a stacked evaluation takes the same BLAS
-and LAPACK calls as an evaluation on its own, so each value is the same bit
-for bit.
+generator that hands over its base point, its step and the index of its next
+poll, and waits for values; every round, one stacked ``helstrom_pure`` call
+scores the next polls of all live searches, up to 64 rows in all. An
+evaluation costs about ten numpy calls on small matrices, so batching them
+saves call overhead rather than arithmetic. A search uses the values in poll
+order up to its first improvement and drops the rest, which it would never
+have asked for one point at a time. The result therefore does not depend on
+the batching: a search sees only the values of its own points, so it follows
+the same first-improvement path as it would alone, and every row of a
+stacked evaluation takes the same BLAS and LAPACK calls as an evaluation on
+its own, so each value is the same bit for bit.
 
 These optimizers are deliberately independent of the closed-form expressions
 in :mod:`chandiscrim.discrimination`; agreement between the two routes is the
@@ -46,6 +48,9 @@ _NORM_FLOOR = 1e-12
 # Grid points per Bloch angle in the scan that seeds one extra start for
 # single qubit probes; higher-dimensional searches rely on random restarts.
 _BLOCH_GRID = 24
+# Row cap of one lockstep round: enough polls per call to amortize the numpy
+# call overhead, few enough to keep the kernel's temporaries small.
+_STACK_ROWS = 64
 
 
 @dataclass
@@ -108,61 +113,98 @@ def _objective(ch1: Channel, ch2: Channel, shape: tuple[int, ...]):
 def _compass_search(x0, step_tolerance, max_sweeps):
     """Coordinate pattern search: first-improvement polls, step halved on a failed sweep.
 
-    A generator: it yields each point to evaluate, is sent that point's value
-    and returns ``(x, fx, step, sweeps, evals)``. The caller decides how the
-    points are evaluated; the trajectory depends only on the values sent.
+    A generator. It yields requests ``(x, step, j)`` and is sent a list of
+    values; it returns ``(x, fx, step, sweeps, evals)``. ``j = -1`` asks for
+    the value of ``x`` itself. ``j >= 0`` asks for polls ``j, j + 1, ...`` of
+    the sweep around ``x``: poll ``j`` moves coordinate ``j // 2`` by ``+step``
+    if ``j`` is even and by ``-step`` if it is odd. The caller sends the values
+    of one or more of them, in order and within the sweep. The search uses them
+    up to its first improvement and drops the rest, so its path depends only
+    on the values, not on how many come at once; ``evals`` counts the values
+    used.
     """
     x = np.asarray(x0, dtype=float).copy()
-    fx = yield x
-    evals = 1
     step = _INITIAL_STEP
+    (fx,) = yield x, step, -1
+    evals = 1
     sweeps = 0
+    polls = 2 * x.size
     while step > step_tolerance and sweeps < max_sweeps:
         sweeps += 1
         improved = False
-        for k in range(x.size):
-            base = x[k]
-            for delta in (step, -step):
-                x[k] = base + delta
-                fc = yield x
+        j = 0
+        while j < polls:
+            for fc in (yield x, step, j):
                 evals += 1
                 if fc > fx:
                     fx = fc
-                    base = x[k]
+                    k = j // 2
+                    x[k] += step if j % 2 == 0 else -step
                     improved = True
+                    j = 2 * k + 2  # the other direction of coordinate k is not polled
                     break
-            x[k] = base
+                j += 1
         if improved:
             # Gauge-fix the scale so the step size keeps its angular meaning.
             norm = np.linalg.norm(x)
             if norm > _NORM_FLOOR:
                 x /= norm
-                fx = yield x
+                (fx,) = yield x, step, -1
                 evals += 1
         else:
             step *= 0.5
     return x, fx, step, sweeps, evals
 
 
+def _request_rows(requests, polls_per_search: int):
+    """The parameter rows that answer a round of compass-search requests.
+
+    Each ``(x, step, j)`` request gets one row for ``j = -1`` and otherwise its
+    next ``polls_per_search`` polls, cut at the end of the sweep. Returns the
+    stacked rows and the number of rows of each request. A poll sets coordinate
+    ``k`` to ``x[k] + step`` or ``x[k] + (-step)``, the same float as the
+    search's own update.
+    """
+    xs = np.array([x for x, _, _ in requests])
+    steps = np.array([step for _, step, _ in requests])
+    first = np.array([j for _, _, j in requests])
+    counts = np.where(first < 0, 1, np.minimum(polls_per_search, 2 * xs.shape[1] - first))
+    owner = np.repeat(np.arange(len(requests)), counts)
+    offsets = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    polls = first[owner] + offsets
+    rows = xs[owner]
+    moved = np.flatnonzero(polls >= 0)
+    polls = polls[moved]
+    delta = steps[owner[moved]]
+    rows[moved, polls // 2] += np.where(polls % 2 == 0, delta, -delta)
+    return rows, counts.tolist()
+
+
 def _run_multistart(fn, starts, opts: OptimizerOptions):
     """One compass search per start, run in lockstep.
 
-    Each round stacks the pending point of every live search and scores them
-    with one ``fn`` call on an (m, nparams) array.
+    Each round answers the requests of every live search with one ``fn`` call
+    on an (m, nparams) array. A search gets ``max(1, _STACK_ROWS // live)`` of
+    its next polls, so a stack holds at most ``max(_STACK_ROWS, live)`` rows.
     """
     searches = [_compass_search(x0, opts.step_tolerance, opts.max_iterations) for x0 in starts]
-    points = [search.send(None) for search in searches]
+    requests = [search.send(None) for search in searches]
     outcomes = [None] * len(searches)
     live = list(range(len(searches)))
     while live:
-        values = fn(np.array([points[i] for i in live])).tolist()
+        rows, counts = _request_rows(
+            [requests[i] for i in live], max(1, _STACK_ROWS // len(live))
+        )
+        values = fn(rows).tolist()
         running = []
-        for i, value in zip(live, values):
+        at = 0
+        for i, count in zip(live, counts):
             try:
-                points[i] = searches[i].send(value)
+                requests[i] = searches[i].send(values[at : at + count])
                 running.append(i)
             except StopIteration as done:
                 outcomes[i] = done.value
+            at += count
         live = running
 
     best = None

@@ -147,6 +147,10 @@ def test_gen_dephasing_bit_flip_mixes_zero_state():
 def test_gen_dephasing_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         make_generalized_dephasing(np.array([[1, 0], [0, 2]]), 0.5)
+    # a vector used to raise an IndexError; a 1x1 unitary made a d = 1 channel
+    for u in (np.array([1.0, 0.0]), np.eye(1), np.ones((2, 3)), np.eye(2)[None]):
+        with pytest.raises(ValueError, match="square matrix of size at least 2"):
+            make_generalized_dephasing(u, 0.5)
 
 
 def test_gen_dephasing_matches_affine_action():
@@ -393,6 +397,12 @@ def test_channel_json_schema_errors():
         channel_from_dict(
             {"dim_in": 2, "dim_out": 2, "kraus": [[[[1, 0]], [[0, 0]]]]}
         )
+    # a non-finite entry used to reach the CPTP check's eigensolver
+    good = channel_to_dict(make_amplitude_damping(0.3))
+    for bad in (float("nan"), float("inf")):
+        data = {**good, "kraus": [good["kraus"][0], [[[0, 0], [0, bad]], [[0, 0], [0, 0]]]]}
+        with pytest.raises(ValueError, match="channel2: malformed Kraus matrix 1: .* finite"):
+            channel_from_dict(data, name="channel2")
 
 
 def test_non_cptp_kraus_rejected_with_residuals():

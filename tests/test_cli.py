@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chandiscrim.channels import channel_to_dict, mixed_unitary_pair_d6
+from chandiscrim.channels import channel_to_dict, make_amplitude_damping, mixed_unitary_pair_d6
 from chandiscrim.cli import main
 from chandiscrim.discrimination import FAMILIES, discrim_fixed_entangled, discrim_fixed_single
 from chandiscrim.linalg import from_pairs
@@ -365,6 +365,29 @@ def test_undecodable_input_files_exit_2(tmp_path, capsys):
     not_pairs.write_text('{"u": 1}')
     assert main([*gen, "--unitary-json", str(not_pairs)]) == 2
     assert "unitary file:" in capsys.readouterr().err
+
+
+def test_malformed_unitary_and_kraus_entries_exit_2(tmp_path, capsys):
+    gen = ["eval", "gen-dephasing", "--r1", "0.9", "--r2", "0.2", "--probe", "single"]
+    # pairs that decode to a vector used to raise an IndexError traceback, and a
+    # 1x1 matrix used to exit 0 with a d = 1 channel
+    for name, text in [("vector", "[[1,0],[0,0]]"), ("one", "[[[1,0]]]")]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main([*gen, "--unitary-json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "square matrix of size at least 2" in captured.err and captured.out == ""
+
+    # a NaN Kraus entry used to exit 2 with "Eigenvalues did not converge"
+    ch_dict = channel_to_dict(make_amplitude_damping(0.3))
+    broken = json.loads(json.dumps(ch_dict))
+    broken["kraus"][1][0][1] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"channel1": ch_dict, "channel2": broken}))
+    for probe in ("single:|0>", "optimize-single"):
+        assert main(["custom", str(path), "--probe", probe]) == 2
+        captured = capsys.readouterr()
+        assert "channel2: malformed Kraus matrix 1" in captured.err and captured.out == ""
 
 
 def test_verify_subset_passes(tmp_path):

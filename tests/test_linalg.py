@@ -175,3 +175,6 @@ def test_pairs_round_trip():
     np.testing.assert_allclose(from_pairs(to_pairs(m)), m)
     with pytest.raises(ValueError):
         from_pairs([1.0, 2.0])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            from_pairs([[1.0, 0.0], [0.0, bad]])
