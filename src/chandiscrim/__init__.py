@@ -5,7 +5,7 @@ unitary generalization, amplitude damping, mixed-unitary ensembles, erasure)
 as validated Kraus maps, evaluates how well two of them can be told apart in
 a single shot under restricted probe classes (single system, product,
 maximally or partially entangled, general bipartite), and cross-checks every
-closed-form optimum against a derivative-free probe optimizer.
+closed-form optimum against a see-saw probe optimizer.
 """
 
 from .channels import (

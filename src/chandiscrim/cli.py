@@ -219,10 +219,8 @@ def evaluate_probe_class(
         return discrim_fixed_single(ch1, ch2, _fixed_single_probe(body, ch1.dim_in), p1)
 
     if spec in ("optimize-single", "optimize-ent"):
-        if p1 != 0.5:
-            raise ValueError("the optimizers assume equal priors")
         run = optimize_single if spec == "optimize-single" else optimize_entangled
-        return run(ch1, ch2, opts)
+        return run(ch1, ch2, opts, p1=p1)
 
     # Every other class, where no closed form applies, is one fixed bipartite probe.
     if head == "maxent" and not body:

@@ -52,43 +52,38 @@ class DiscriminationResult:
     optimizer_meta: dict | None = None
 
 
+def _check_prior(p1) -> float:
+    p1 = float(p1)
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    return p1
+
+
 def helstrom(rho1, rho2, p1: float = 0.5) -> float:
     """Optimal success probability (1/2)(1 + ||p1 rho1 - p2 rho2||_1)."""
     rho1 = as_complex(rho1)
     rho2 = as_complex(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
-    p1 = float(p1)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    p1 = _check_prior(p1)
     diff = p1 * rho1 - (1.0 - p1) * rho2
     return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff).values).sum()))
 
 
-def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) -> np.ndarray:
-    """Helstrom probabilities of a stack of pure probes through two stacked Kraus sets.
+def pure_difference(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) -> np.ndarray:
+    """The differences p1 rho1 - (1 - p1) rho2 of a stack of pure probes through two channels.
 
     ``k1`` and ``k2`` have shape (n_kraus, dim_out, dim_in). ``psi`` holds m
     probes: single-system probes as an (m, dim_in) array, or bipartite probes
-    reshaped to (m, dim_in, dim_b). Returns the m probabilities. Branch i of a
-    channel maps a probe to (K_i (x) I)|psi>, the flattening of K_i @ psi;
-    with the branches as the rows of B the evolved state is B^T B*.
+    reshaped to (m, dim_in, dim_b). Returns m D x D matrices, D = dim_out *
+    dim_b. Branch i of a channel maps a probe to (K_i (x) I)|psi>, the
+    flattening of K_i @ psi; with the branches as the rows of B the evolved
+    state is B^T B*.
 
-    The difference p1 rho1 - (1 - p1) rho2 = A S A^dagger, where the columns
-    of A are the r = n_kraus1 + n_kraus2 branches and S = diag(p1, ...,
-    -(1 - p1), ...), has rank at most r. When 2r <= D = dim_out * dim_b the
-    kernel takes the Gram form: with A = QR, its nonzero eigenvalues are those
-    of the r x r matrix R S R^dagger, where R^dagger R is the Gram matrix of
-    the branches. Otherwise it takes the eigenvalues of the D x D difference.
-    R comes from a QR factorization rather than from an eigendecomposition of
-    the Gram matrix: a square-rooted eigendecomposition errs by about 1e-8
-    where branches of the two channels are parallel, as for dephasing, while
-    QR keeps the error at rounding level. The form depends only on the shapes.
-
-    Each probe takes the same per-matrix BLAS and LAPACK calls whatever the
-    stack around it, so row j equals the value of probe j alone bit for bit.
-    Nothing is checked here: channels and probes are validated when built,
-    dimensions and p1 by the callers.
+    Each probe takes the same per-matrix BLAS calls whatever the stack around
+    it, so matrix j equals that of probe j alone bit for bit. Nothing is
+    checked here: channels and probes are validated when built, dimensions and
+    p1 by the callers.
     """
     if psi.ndim == 2:  # a single-system probe is a bipartite one with dim_b = 1
         psi = psi[:, :, None]
@@ -96,13 +91,17 @@ def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) ->
     b2 = k2 @ psi[:, None]
     b1 = b1.reshape(*b1.shape[:2], -1)  # one row per branch, flattened over (out, B)
     b2 = b2.reshape(*b2.shape[:2], -1)
-    if 2 * (len(k1) + len(k2)) <= b1.shape[-1]:
-        r = np.linalg.qr(np.concatenate([b1, b2], axis=1).swapaxes(1, 2), mode="r")
-        s = np.repeat([p1, -(1.0 - p1)], [len(k1), len(k2)])
-        diff = r @ (s[:, None] * r.conj().swapaxes(1, 2))
-    else:
-        diff = p1 * (b1.swapaxes(1, 2) @ b1.conj()) - (1.0 - p1) * (b2.swapaxes(1, 2) @ b2.conj())
-    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1))
+    return p1 * (b1.swapaxes(1, 2) @ b1.conj()) - (1.0 - p1) * (b2.swapaxes(1, 2) @ b2.conj())
+
+
+def helstrom_pure(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) -> np.ndarray:
+    """Helstrom probabilities of a stack of pure probes through two stacked Kraus sets.
+
+    Takes the eigenvalues of the differences ``pure_difference`` forms (same
+    arguments) and returns the m probabilities. Row j equals the value of
+    probe j alone bit for bit, as LAPACK solves each matrix on its own.
+    """
+    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(pure_difference(k1, k2, psi, p1))).sum(axis=-1))
 
 
 def _check_same_dims(ch1: Channel, ch2: Channel):
@@ -119,9 +118,7 @@ def _fixed_probe_value(ch1: Channel, ch2: Channel, psi: np.ndarray, p1: float) -
         raise ValueError(
             f"probe dimension {psi.shape[0]} does not match channel input {ch1.dim_in}"
         )
-    p1 = float(p1)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    p1 = _check_prior(p1)
     return float(helstrom_pure(np.stack(ch1.kraus), np.stack(ch2.kraus), psi[None], p1)[0])
 
 

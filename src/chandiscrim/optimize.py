@@ -1,24 +1,38 @@
-"""Brute-force probe optimization via multistart compass search.
+"""Brute-force probe optimization via a multistart see-saw ascent.
 
-The trace-norm objective is continuous but not smooth (eigenvalue crossings
-introduce kinks), and the search spaces are tiny: a probe on C^d is 2d real
-parameters, a bipartite probe 2d^2, with d <= 6. A derivative-free compass
-search from many starting points is robust there and needs no gradients.
-Probes are parameterized as unconstrained real vectors, normalized on
-evaluation, so the global phase and scale are harmless gauge directions.
+For a fixed probe the best measurement is the Helstrom one: with X the
+difference p1 rho1 - (1 - p1) rho2 of the evolved states and S = sign(X),
+||X||_1 = Tr S X is the largest value of Tr S' X over ||S'||_inf <= 1. For a
+fixed S, Tr S X is the quadratic form <psi|M|psi> of
 
-The restarts of a multistart run in lockstep. Each compass search is a
-generator that hands over its base point, its step and the index of its next
-poll, and waits for values; every round, one stacked ``helstrom_pure`` call
-scores the next polls of all live searches, up to 64 rows in all. An
-evaluation costs about ten numpy calls on small matrices, so batching them
-saves call overhead rather than arithmetic. A search uses the values in poll
-order up to its first improvement and drops the rest, which it would never
-have asked for one point at a time. The result therefore does not depend on
-the batching: a search sees only the values of its own points, so it follows
-the same first-improvement path as it would alone, and every row of a
-stacked evaluation takes the same BLAS and LAPACK calls as an evaluation on
-its own, so each value is the same bit for bit.
+    M = p1 sum_i L_i^dagger S L_i - (1 - p1) sum_j L'_j^dagger S L'_j,
+
+where L = K (x) 1_B runs over the Kraus operators of each channel (K itself for
+single-system probes), so the best probe for that S is a top eigenvector of M.
+Alternating the two steps never lowers the value: the new probe raises Tr S X,
+and the trace norm of its difference is at least that.
+
+Where that ascent is slow, as near perfect discrimination, each step also
+tries the stretched probe psi + t (phi - psi), normalized, beyond the see-saw
+probe phi; t starts at 2, doubles while the stretched probe wins and halves,
+not below 2, when it loses. A step keeps the better of the two.
+
+All starts run as one stack. Each step takes one batched ``eigh`` of the M
+matrices of the live starts, which gives their see-saw probes, and one of the
+differences of the see-saw and stretched probes, which gives their values and
+measurements. A start stops at the first of:
+
+(a) a step that does not raise its value; it keeps its previous probe, and
+    its final step is 0;
+(b) a step whose stretched probe lies within ``step_tolerance`` of the
+    previous probe (2-norm, after aligning the global phase);
+(c) a rate that cannot catch the best start: gain * (steps left) < best - value;
+(d) ``max_iterations`` steps.
+
+Rule (c) ends the losing starts that creep toward a kink by rounding-sized
+gains. Each start keeps the best probe it has seen; the reported probability
+is the ``helstrom_pure`` value of the reported probe, the same number
+``discrim_fixed_single``/``discrim_fixed_entangled`` give for it.
 
 These optimizers are deliberately independent of the closed-form expressions
 in :mod:`chandiscrim.discrimination`; agreement between the two routes is the
@@ -27,35 +41,39 @@ main correctness check of the whole package.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import Channel
-from .discrimination import DiscriminationResult, _check_same_dims, helstrom_pure
+from .discrimination import (
+    DiscriminationResult,
+    _check_prior,
+    _check_same_dims,
+    helstrom_pure,
+    pure_difference,
+)
 from .probes import (
     BipartitePureProbe,
     SinglePureProbe,
     basis_probe,
-    bloch_qubit,
     max_entangled,
     uniform_superposition,
 )
 
-_INITIAL_STEP = 0.3
-_NORM_FLOOR = 1e-12
-# Grid points per Bloch angle in the scan that seeds one extra start for
-# single qubit probes; higher-dimensional searches rely on random restarts.
-_BLOCH_GRID = 24
-# Row cap of one lockstep round: enough polls per call to amortize the numpy
-# call overhead, few enough to keep the kernel's temporaries small.
-_STACK_ROWS = 64
+# Cap on the extrapolation factor; far beyond the see-saw probe, the stretched
+# probe is the normalized see-saw direction and doubling changes nothing.
+_MAX_STRETCH = 2.0**20
 
 
 @dataclass
 class OptimizerOptions:
-    """Knobs for the multistart compass search."""
+    """Knobs for the multistart see-saw ascent.
+
+    ``step_tolerance`` is the largest probe move that counts as converged
+    (rule (b) of the module docstring) and ``max_iterations`` the cap on
+    see-saw steps per start.
+    """
 
     restarts: int = 32
     step_tolerance: float = 1e-7
@@ -71,165 +89,80 @@ class OptimizerOptions:
             raise ValueError("max_iterations must be positive")
 
 
-def _params_to_vectors(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit complex vectors of the parameter rows ``[re | im]`` of ``xs``.
+def _measure(k1, k2, p1, psi):
+    """Values and Helstrom measurements S = V sign(Lambda) V^dagger of a stack of probes."""
+    lam, vec = np.linalg.eigh(pure_difference(k1, k2, psi, p1))
+    values = 0.5 * (1.0 + np.abs(lam).sum(axis=-1))
+    return values, (vec * np.sign(lam)[:, None, :]) @ vec.conj().swapaxes(1, 2)
 
-    Returns the vectors of the rows whose norm clears ``_NORM_FLOOR`` and the
-    mask of those rows. Each norm is formed as ``np.linalg.norm`` forms it, one
-    strided dot over the real parts plus one over the imaginary parts, so it
-    matches that function bit for bit.
+
+def _seesaw(ch1: Channel, ch2: Channel, p1: float, starts, dim_b: int, opts: OptimizerOptions):
+    """Run the see-saw ascent from every start as one stack.
+
+    ``starts`` are unit vectors on C^dim_in (x) C^dim_b. Returns the best probe
+    over the starts, its ``helstrom_pure`` value and the optimizer metadata.
     """
-    half = xs.shape[1] // 2
-    v = xs[:, :half] + 1j * xs[:, half:]
-    re, im = v.real, v.imag
-    norms = np.sqrt((re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None])[:, 0, 0])
-    ok = ~(norms < _NORM_FLOOR)
-    return v[ok] / norms[ok, None], ok
+    k1, k2 = np.stack(ch1.kraus), np.stack(ch2.kraus)
+    shape = (ch1.dim_in,) if dim_b == 1 else (ch1.dim_in, dim_b)
+    # L_i = K_i (x) 1_B with its weight: M = left @ [S L_1; S L_2; ...], S L_i from S @ right
+    ops = np.stack([np.kron(k, np.eye(dim_b)) for k in (*k1, *k2)])  # (r, D, n)
+    r, dim, n = ops.shape
+    weights = np.repeat([p1, -(1.0 - p1)], [len(k1), len(k2)])
+    left = (weights[:, None, None] * ops.conj().swapaxes(1, 2)).swapaxes(0, 1).reshape(n, r * dim)
+    right = ops.swapaxes(0, 1).reshape(dim, r * n)
 
+    psi = np.array(starts, dtype=complex)
+    value, s = _measure(k1, k2, p1, psi.reshape(-1, *shape))
+    evaluations = len(psi)
+    steps = np.zeros(len(psi), dtype=int)
+    moved = np.zeros(len(psi))
+    stretch = np.full(len(psi), 2.0)
+    live = np.arange(len(psi))
+    for k in range(1, opts.max_iterations + 1):
+        m = len(live)
+        sl = (s @ right).reshape(m, dim, r, n).swapaxes(1, 2).reshape(m, r * dim, n)
+        near = np.linalg.eigh(left @ sl)[1][..., -1]
+        old = psi[live]
+        near *= np.exp(-1j * np.angle(np.sum(old.conj() * near, axis=1)))[:, None]
+        far = old + stretch[live, None] * (near - old)
+        far /= np.linalg.norm(far, axis=1, keepdims=True)
+        both = np.concatenate([near, far])
+        v, s = _measure(k1, k2, p1, both.reshape(-1, *shape))
+        evaluations += 2 * m
+        pick = np.arange(m) + m * (v[m:] > v[:m])
+        new, v, s = both[pick], v[pick], s[pick]
+        stretch[live] = np.where(pick >= m, np.minimum(2.0 * stretch[live], _MAX_STRETCH),
+                                 np.maximum(2.0, 0.5 * stretch[live]))
+        move = np.linalg.norm(far - old, axis=1)
+        gain = v - value[live]
+        raised = gain > 0
+        up = live[raised]
+        psi[up], value[up], steps[up], moved[up] = new[raised], v[raised], k, move[raised]
+        moved[live[~raised]] = 0.0
+        hopeless = gain * (opts.max_iterations - k) < value.max() - value[live]
+        go = raised & (move > opts.step_tolerance) & ~hopeless
+        live, s = live[go], s[go]
+        if not live.size:
+            break
 
-def _vector_to_params(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
-
-
-def _objective(ch1: Channel, ch2: Channel, shape: tuple[int, ...]):
-    """Equal-prior success probabilities of the probes a stack of parameter rows encodes.
-
-    ``shape`` is (dim_in,) for single-system probes and (dim_in, dim_b) for
-    bipartite ones, the two probe forms ``helstrom_pure`` takes. A row too
-    short to normalize scores 0.
-    """
-    k1 = np.stack(ch1.kraus)
-    k2 = np.stack(ch2.kraus)
-
-    def probability(xs: np.ndarray) -> np.ndarray:
-        values = np.zeros(len(xs))
-        vs, ok = _params_to_vectors(xs)
-        values[ok] = helstrom_pure(k1, k2, vs.reshape(-1, *shape), 0.5)
-        return values
-
-    return probability
-
-
-def _compass_search(x0, step_tolerance, max_sweeps):
-    """Coordinate pattern search: first-improvement polls, step halved on a failed sweep.
-
-    A generator. It yields requests ``(x, step, j)`` and is sent a list of
-    values; it returns ``(x, fx, step, sweeps, evals)``. ``j = -1`` asks for
-    the value of ``x`` itself. ``j >= 0`` asks for polls ``j, j + 1, ...`` of
-    the sweep around ``x``: poll ``j`` moves coordinate ``j // 2`` by ``+step``
-    if ``j`` is even and by ``-step`` if it is odd. The caller sends the values
-    of one or more of them, in order and within the sweep. The search uses them
-    up to its first improvement and drops the rest, so its path depends only
-    on the values, not on how many come at once; ``evals`` counts the values
-    used.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    step = _INITIAL_STEP
-    (fx,) = yield x, step, -1
-    evals = 1
-    sweeps = 0
-    polls = 2 * x.size
-    while step > step_tolerance and sweeps < max_sweeps:
-        sweeps += 1
-        improved = False
-        j = 0
-        while j < polls:
-            for fc in (yield x, step, j):
-                evals += 1
-                if fc > fx:
-                    fx = fc
-                    k = j // 2
-                    x[k] += step if j % 2 == 0 else -step
-                    improved = True
-                    j = 2 * k + 2  # the other direction of coordinate k is not polled
-                    break
-                j += 1
-        if improved:
-            # Gauge-fix the scale so the step size keeps its angular meaning.
-            norm = np.linalg.norm(x)
-            if norm > _NORM_FLOOR:
-                x /= norm
-                (fx,) = yield x, step, -1
-                evals += 1
-        else:
-            step *= 0.5
-    return x, fx, step, sweeps, evals
-
-
-def _request_rows(requests, polls_per_search: int):
-    """The parameter rows that answer a round of compass-search requests.
-
-    Each ``(x, step, j)`` request gets one row for ``j = -1`` and otherwise its
-    next ``polls_per_search`` polls, cut at the end of the sweep. Returns the
-    stacked rows and the number of rows of each request. A poll sets coordinate
-    ``k`` to ``x[k] + step`` or ``x[k] + (-step)``, the same float as the
-    search's own update.
-    """
-    xs = np.array([x for x, _, _ in requests])
-    steps = np.array([step for _, step, _ in requests])
-    first = np.array([j for _, _, j in requests])
-    counts = np.where(first < 0, 1, np.minimum(polls_per_search, 2 * xs.shape[1] - first))
-    owner = np.repeat(np.arange(len(requests)), counts)
-    offsets = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    polls = first[owner] + offsets
-    rows = xs[owner]
-    moved = np.flatnonzero(polls >= 0)
-    polls = polls[moved]
-    delta = steps[owner[moved]]
-    rows[moved, polls // 2] += np.where(polls % 2 == 0, delta, -delta)
-    return rows, counts.tolist()
-
-
-def _run_multistart(fn, starts, opts: OptimizerOptions):
-    """One compass search per start, run in lockstep.
-
-    Each round answers the requests of every live search with one ``fn`` call
-    on an (m, nparams) array. A search gets ``max(1, _STACK_ROWS // live)`` of
-    its next polls, so a stack holds at most ``max(_STACK_ROWS, live)`` rows.
-    """
-    searches = [_compass_search(x0, opts.step_tolerance, opts.max_iterations) for x0 in starts]
-    requests = [search.send(None) for search in searches]
-    outcomes = [None] * len(searches)
-    live = list(range(len(searches)))
-    while live:
-        rows, counts = _request_rows(
-            [requests[i] for i in live], max(1, _STACK_ROWS // len(live))
-        )
-        values = fn(rows).tolist()
-        running = []
-        at = 0
-        for i, count in zip(live, counts):
-            try:
-                requests[i] = searches[i].send(values[at : at + count])
-                running.append(i)
-            except StopIteration as done:
-                outcomes[i] = done.value
-            at += count
-        live = running
-
-    best = None
-    restart_values = []
-    total_evals = 0
-    for x, fx, step, sweeps, evals in outcomes:
-        restart_values.append(fx)
-        total_evals += evals
-        if best is None or fx > best[1]:
-            best = (x, fx, step, sweeps)
-    x, fx, step, sweeps = best
+    final = helstrom_pure(k1, k2, psi.reshape(-1, *shape), p1)
+    best = int(np.argmax(final))
     meta = {
-        "restarts": len(starts),
-        "iterations": sweeps,
-        "final_step": step,
-        "evaluations": total_evals,
-        "restart_values": restart_values,
+        "restarts": len(psi),
+        "iterations": int(steps[best]),
+        "final_step": float(moved[best]),
+        "evaluations": evaluations + len(psi),
+        "restart_values": final.tolist(),
     }
-    return x, fx, meta
+    return psi[best], float(final[best]), meta
 
 
-def _random_starts(rng, count: int, nparams: int):
+def _random_starts(rng, count: int, dim: int):
+    """``count`` random unit vectors on C^dim, each drawn as 2 dim real normals."""
     for _ in range(count):
-        x = rng.standard_normal(nparams)
-        yield x / np.linalg.norm(x)
+        x = rng.standard_normal(2 * dim)
+        x = x / np.linalg.norm(x)
+        yield x[:dim] + 1j * x[dim:]
 
 
 def optimize_single(
@@ -237,68 +170,34 @@ def optimize_single(
     ch2: Channel,
     opts: OptimizerOptions | None = None,
     warm_starts: list[SinglePureProbe] | None = None,
+    p1: float = 0.5,
 ) -> DiscriminationResult:
-    """Best equal-prior probability found over pure single-system probes.
+    """Best success probability found over pure single-system probes, priors (p1, 1 - p1).
 
-    The search always seeds from the uniform superposition and |0> (plus any
-    ``warm_starts`` supplied), so the result is never below those fixed-probe
-    values; for qubit channels a coarse Bloch-sphere scan adds one more start.
+    The search always starts from any ``warm_starts`` supplied, the uniform
+    superposition and |0>, so the result is never below those fixed-probe
+    values, and from ``opts.restarts`` random probes.
     """
     _check_same_dims(ch1, ch2)
+    p1 = _check_prior(p1)
     if opts is None:
         opts = OptimizerOptions()
     d = ch1.dim_in
-    fn = _objective(ch1, ch2, (d,))
-    rng = np.random.default_rng(opts.seed)
-
-    seeds: list[np.ndarray] = []
     for probe in warm_starts or []:
         if probe.dim != d:
             raise ValueError(f"warm start has dimension {probe.dim}, expected {d}")
-        seeds.append(_vector_to_params(probe.amplitudes))
-    seeds.append(_vector_to_params(uniform_superposition(d).amplitudes))
-    seeds.append(_vector_to_params(basis_probe(d, 0).amplitudes))
-    grid_evals = 0
-    if d == 2:
-        best_grid, grid_evals = _best_bloch_grid_point(fn)
-        seeds.append(best_grid)
-    seeds.extend(_random_starts(rng, opts.restarts, 2 * d))
+    starts = [probe.amplitudes for probe in warm_starts or []]
+    starts += [uniform_superposition(d).amplitudes, basis_probe(d, 0).amplitudes]
+    starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d))
 
-    x, fx, meta = _run_multistart(fn, seeds, opts)
-    meta["evaluations"] += grid_evals
-    vs, _ = _params_to_vectors(x[None])
-    probe = SinglePureProbe(vs[0])
+    psi, value, meta = _seesaw(ch1, ch2, p1, starts, 1, opts)
     return DiscriminationResult(
-        probability=fx,
+        probability=value,
         probe_class="single",
-        probe=probe.to_dict(),
+        probe=SinglePureProbe(psi).to_dict(),
         method="optimizer",
         optimizer_meta=meta,
     )
-
-
-@functools.cache
-def _bloch_grid_points() -> np.ndarray:
-    """Parameter rows of the Bloch-angle grid, built once per process and read-only.
-
-    Each row comes from ``bloch_qubit``; a vectorized build differs in the last bit
-    of some entries, which would move the searches seeded from the grid.
-    """
-    points = np.stack(
-        [
-            _vector_to_params(bloch_qubit(theta, delta).amplitudes)
-            for theta in np.linspace(0.0, np.pi, _BLOCH_GRID)
-            for delta in np.linspace(0.0, 2.0 * np.pi, _BLOCH_GRID, endpoint=False)
-        ]
-    )
-    points.setflags(write=False)
-    return points
-
-
-def _best_bloch_grid_point(fn):
-    """The first best point of the Bloch-angle grid, all points scored in one call."""
-    points = _bloch_grid_points()
-    return points[np.argmax(fn(points))], len(points)
 
 
 def optimize_entangled(
@@ -306,40 +205,35 @@ def optimize_entangled(
     ch2: Channel,
     opts: OptimizerOptions | None = None,
     warm_starts: list[BipartitePureProbe] | None = None,
+    p1: float = 0.5,
 ) -> DiscriminationResult:
-    """Best equal-prior probability over bipartite pure probes with dim_b = dim_in.
+    """Best success probability over bipartite pure probes with dim_b = dim_in, priors (p1, 1 - p1).
 
     An ancilla larger than the channel input never helps (Schmidt rank of the
-    probe is at most dim_in), so the B side is fixed to dim_in. Seeds include
+    probe is at most dim_in), so the B side is fixed to dim_in. Starts include
     the maximally entangled probe and the product probe |0>|0>.
     """
     _check_same_dims(ch1, ch2)
+    p1 = _check_prior(p1)
     if opts is None:
         opts = OptimizerOptions()
     d = ch1.dim_in
-    fn = _objective(ch1, ch2, (d, d))
-    rng = np.random.default_rng(opts.seed)
-
-    seeds: list[np.ndarray] = []
     for probe in warm_starts or []:
         if (probe.dim_a, probe.dim_b) != (d, d):
             raise ValueError(
                 f"warm start has dimensions {probe.dim_a}x{probe.dim_b}, expected {d}x{d}"
             )
-        seeds.append(_vector_to_params(probe.amplitudes))
-    seeds.append(_vector_to_params(max_entangled(d).amplitudes))
+    starts = [probe.amplitudes for probe in warm_starts or []]
     product = np.zeros(d * d, dtype=complex)
     product[0] = 1.0
-    seeds.append(_vector_to_params(product))
-    seeds.extend(_random_starts(rng, opts.restarts, 2 * d * d))
+    starts += [max_entangled(d).amplitudes, product]
+    starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d * d))
 
-    x, fx, meta = _run_multistart(fn, seeds, opts)
-    vs, _ = _params_to_vectors(x[None])
-    probe = BipartitePureProbe(d, d, vs[0])
+    psi, value, meta = _seesaw(ch1, ch2, p1, starts, d, opts)
     return DiscriminationResult(
-        probability=fx,
+        probability=value,
         probe_class="general_entangled",
-        probe=probe.to_dict(),
+        probe=BipartitePureProbe(d, d, psi).to_dict(),
         method="optimizer",
         optimizer_meta=meta,
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -12,13 +14,27 @@ from chandiscrim.linalg import from_pairs
 from chandiscrim.probes import BipartitePureProbe, SinglePureProbe
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args):
+    """The CLI in a fresh interpreter, through its module entrypoint.
+
+    Kept for the entrypoint itself, for checking that stderr holds no
+    traceback, and for inputs that must not raise a RuntimeWarning in this
+    process, where the test configuration turns it into an error.
+    """
     return subprocess.run(
-        [sys.executable, "-m", "chandiscrim", *args],
-        capture_output=True,
-        text=True,
-        **kwargs,
+        [sys.executable, "-m", "chandiscrim", *args], capture_output=True, text=True
     )
+
+
+def run_main(*args):
+    """``main`` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 def test_eval_depolarizing_maxent():
@@ -34,7 +50,7 @@ def test_eval_depolarizing_maxent():
 
 
 def test_eval_erasure_single():
-    proc = run_cli(
+    proc = run_main(
         "eval", "erasure", "--d", "2", "--eps1", "0.8", "--eps2", "0.3",
         "--probe", "single",
     )
@@ -43,7 +59,7 @@ def test_eval_erasure_single():
 
 
 def test_eval_identical_dephasing_via_optimizer():
-    proc = run_cli(
+    proc = run_main(
         "eval", "dephasing", "--d", "2", "--r1", "0.5", "--r2", "0.5",
         "--probe", "optimize-single", "--restarts", "2", "--seed", "1",
     )
@@ -52,7 +68,7 @@ def test_eval_identical_dephasing_via_optimizer():
 
 
 def test_eval_json_round_trips_full_precision():
-    proc = run_cli(
+    proc = run_main(
         "eval", "amplitude-damping", "--mu1", "0.04", "--mu2", "0.01",
         "--probe", "single",
     )
@@ -63,26 +79,30 @@ def test_eval_json_round_trips_full_precision():
 
 
 def test_eval_rejects_bad_parameters(capsys):
-    proc = run_cli(
+    proc = run_main(
         "eval", "depolarizing", "--d", "2", "--q1", "1.5", "--q2", "0.3",
         "--probe", "single",
     )
     assert proc.returncode == 2
     assert "q must lie strictly in (0, 1)" in proc.stderr
 
-    proc = run_cli("eval", "depolarizing", "--q1", "0.9", "--q2", "0.3", "--probe", "bogus")
+    proc = run_main("eval", "depolarizing", "--q1", "0.9", "--q2", "0.3", "--probe", "bogus")
     assert proc.returncode == 2
     assert "probe class" in proc.stderr
 
-    proc = run_cli("eval", "depolarizing", "--probe", "single")
+    proc = run_main("eval", "depolarizing", "--probe", "single")
     assert proc.returncode == 2
     assert "--q1" in proc.stderr
 
     base = ("eval", "depolarizing", "--q1", "0.9", "--q2", "0.3", "--probe", "single")
     for flag in ("--restarts", "--step-tolerance", "--max-iterations"):
-        proc = run_cli(*base, flag, "0")
+        proc = run_main(*base, flag, "0")
         assert proc.returncode == 2
         assert "must be positive" in proc.stderr and "Traceback" not in proc.stderr
+    # the same through the entrypoint, where an uncaught error prints a traceback
+    proc = run_cli(*base, "--restarts", "0")
+    assert proc.returncode == 2
+    assert "must be positive" in proc.stderr and "Traceback" not in proc.stderr
 
     # a non-finite probe angle used to print "probability": NaN with exit 0
     for theta in ("nan", "inf"):
@@ -95,7 +115,7 @@ def test_eval_rejects_bad_parameters(capsys):
         assert proc.stdout == ""
 
     # --d 0 used to fall back to d = 2
-    proc = run_cli(*base, "--d", "0")
+    proc = run_main(*base, "--d", "0")
     assert proc.returncode == 2
     assert "d must be at least 2" in proc.stderr
 
@@ -121,24 +141,50 @@ def test_eval_rejects_bad_parameters(capsys):
         assert message in captured.err and captured.out == ""
 
 
+def test_eval_optimizers_take_a_prior(tmp_path):
+    # the optimizers used to refuse p1 != 0.5; a depolarizing pair gives
+    # (1/2)(1 + |a + b/n| + (n - 1)|b/n|) with n = d for single probes and
+    # n = d^2 for entangled ones
+    p1, q1, q2 = 0.3, 0.9, 0.3
+    a, b = p1 * q1 - (1 - p1) * q2, p1 * (1 - q1) - (1 - p1) * (1 - q2)
+    fam = ("eval", "depolarizing", "--q1", str(q1), "--q2", str(q2), "--p1", str(p1))
+    for probe, n in [("optimize-single", 2), ("optimize-ent", 4)]:
+        proc = run_main(*fam, "--probe", probe, "--restarts", "4")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["p1"] == p1 and payload["method"] == "optimizer"
+        assert payload["probability"] == pytest.approx(
+            0.5 * (1 + abs(a + b / n) + (n - 1) * abs(b / n)), abs=1e-9
+        )
+    ch1, ch2 = mixed_unitary_pair_d6()
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"channel1": channel_to_dict(ch1), "channel2": channel_to_dict(ch2)}))
+    proc = run_main("custom", str(path), "--probe", "optimize-single", "--p1", "0.8", "--restarts", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["probability"] == pytest.approx(1.0, abs=1e-12)
+    # the prior is still checked
+    proc = run_main(*fam[:-1], "1.5", "--probe", "optimize-single")
+    assert proc.returncode == 2 and "p1 must lie in [0, 1]" in proc.stderr
+
+
 def test_eval_mixed_unitary_probes():
-    proc = run_cli(
+    proc = run_main(
         "eval", "mixed-unitary-d3", "--probe", "zeta:c1=0.5,0,c2=0.5,0",
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["probability"] == pytest.approx(1.0, abs=1e-12)
 
-    proc = run_cli("eval", "mixed-unitary-d6", "--probe", "single:|0>")
+    proc = run_main("eval", "mixed-unitary-d6", "--probe", "single:|0>")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["probability"] == pytest.approx(1.0, abs=1e-12)
 
     # no closed form exists for the mixed-unitary families
-    proc = run_cli("eval", "mixed-unitary-d3", "--probe", "single")
+    proc = run_main("eval", "mixed-unitary-d3", "--probe", "single")
     assert proc.returncode == 2
 
 
 def test_eval_gen_dephasing_phases():
-    proc = run_cli(
+    proc = run_main(
         "eval", "gen-dephasing", "--phases", f"0,{np.pi/3}", "--r1", "0.8",
         "--r2", "0.2", "--probe", "single",
     )
@@ -155,8 +201,8 @@ def test_sweep_csv_deterministic(tmp_path):
     )
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    assert run_cli(*args, "--out", str(out1)).returncode == 0
-    assert run_cli(*args, "--out", str(out2)).returncode == 0
+    assert run_main(*args, "--out", str(out1)).returncode == 0
+    assert run_main(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert lines[0] == "family,param1,param2,probe_class,probability,probe_params"
@@ -165,7 +211,7 @@ def test_sweep_csv_deterministic(tmp_path):
 
 def test_sweep_zero_width_range(tmp_path):
     out = tmp_path / "one.csv"
-    proc = run_cli(
+    proc = run_main(
         "sweep", "depolarizing",
         "--param", "q1=0.9", "--param", "q2=0.3",
         "--probes", "single-closed",
@@ -178,7 +224,7 @@ def test_sweep_zero_width_range(tmp_path):
 
 
 def test_sweep_unwritable_path():
-    proc = run_cli(
+    proc = run_main(
         "sweep", "depolarizing",
         "--param", "q1=0.9", "--param", "q2=0.3",
         "--probes", "single-closed",
@@ -189,7 +235,7 @@ def test_sweep_unwritable_path():
 
 def test_sweep_monotone_g_curve(tmp_path):
     out = tmp_path / "g.csv"
-    proc = run_cli(
+    proc = run_main(
         "sweep", "depolarizing",
         "--param", "g=0:1:0.02", "--param", "q1=0.9", "--param", "q2=0.3",
         "--probes", "nonmax-closed",
@@ -310,7 +356,7 @@ def test_custom_identical_channels(tmp_path):
     ch_dict = channel_to_dict(mixed_unitary_pair_d6()[0])
     path = tmp_path / "same.json"
     path.write_text(json.dumps({"channel1": ch_dict, "channel2": ch_dict}))
-    proc = run_cli("custom", str(path), "--probe", "single:|0>")
+    proc = run_main("custom", str(path), "--probe", "single:|0>")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["probability"] == pytest.approx(0.5, abs=1e-12)
 
@@ -321,7 +367,7 @@ def test_custom_dimension6_pair(tmp_path):
     path.write_text(
         json.dumps({"channel1": channel_to_dict(ch1), "channel2": channel_to_dict(ch2)})
     )
-    proc = run_cli("custom", str(path), "--probe", "single:|0>")
+    proc = run_main("custom", str(path), "--probe", "single:|0>")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["probability"] == pytest.approx(1.0, abs=1e-12)
 
@@ -329,7 +375,7 @@ def test_custom_dimension6_pair(tmp_path):
 def test_custom_schema_and_cptp_errors(tmp_path):
     bad_schema = tmp_path / "bad.json"
     bad_schema.write_text(json.dumps({"channel1": {"dim_in": 2}}))
-    proc = run_cli("custom", str(bad_schema), "--probe", "single:|0>")
+    proc = run_main("custom", str(bad_schema), "--probe", "single:|0>")
     assert proc.returncode == 2
 
     ch_dict = channel_to_dict(mixed_unitary_pair_d6()[0])
@@ -337,11 +383,11 @@ def test_custom_schema_and_cptp_errors(tmp_path):
     broken["kraus"][0][0][0] = [2.0, 0.0]  # breaks trace preservation
     bad_cptp = tmp_path / "noncptp.json"
     bad_cptp.write_text(json.dumps({"channel1": broken, "channel2": ch_dict}))
-    proc = run_cli("custom", str(bad_cptp), "--probe", "single:|0>")
+    proc = run_main("custom", str(bad_cptp), "--probe", "single:|0>")
     assert proc.returncode == 4
     assert "residual" in proc.stderr
 
-    proc = run_cli("custom", str(tmp_path / "missing.json"), "--probe", "single:|0>")
+    proc = run_main("custom", str(tmp_path / "missing.json"), "--probe", "single:|0>")
     assert proc.returncode == 3
     assert "cannot read" in proc.stderr
 
@@ -392,7 +438,7 @@ def test_malformed_unitary_and_kraus_entries_exit_2(tmp_path, capsys):
 
 def test_verify_subset_passes(tmp_path):
     out = tmp_path / "report.json"
-    proc = run_cli("verify", "--only", "6,8,9,10", "--out", str(out))
+    proc = run_main("verify", "--only", "6,8,9,10", "--out", str(out))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
     reports = json.loads(out.read_text())
@@ -410,7 +456,7 @@ def test_verify_rejects_unknown_criteria(only, capsys):
 
 
 def test_verify_zero_tolerance_fails_optimizer_checks():
-    proc = run_cli("verify", "--only", "1", "--tolerance-scale", "0", "--json")
+    proc = run_main("verify", "--only", "1", "--tolerance-scale", "0", "--json")
     assert proc.returncode == 1
     reports = json.loads(proc.stdout)
     failed = {r["scenario_id"] for r in reports if not r["passed"]}
@@ -420,7 +466,7 @@ def test_verify_zero_tolerance_fails_optimizer_checks():
 def test_verify_seed_variation_keeps_pass_set(tmp_path):
     outcomes = []
     for seed in ("0", "1234"):
-        proc = run_cli("verify", "--only", "6,9,10", "--seed", seed, "--json")
+        proc = run_main("verify", "--only", "6,9,10", "--seed", seed, "--json")
         reports = json.loads(proc.stdout)
         outcomes.append({r["scenario_id"]: r["passed"] for r in reports})
         assert proc.returncode == 0

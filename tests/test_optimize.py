@@ -3,36 +3,26 @@ import pytest
 
 from chandiscrim import optimize
 from chandiscrim.channels import (
+    Channel,
     make_amplitude_damping,
     make_depolarizing,
     make_dephasing,
     make_erasure,
+    make_generalized_dephasing,
+    mixed_unitary_pair_d3,
 )
 from chandiscrim.discrimination import (
     ad_single_closed,
     dephasing_closed,
     depolarizing_maxent_closed,
     depolarizing_single_closed,
+    discrim_fixed_entangled,
     discrim_fixed_single,
+    helstrom_pure,
 )
-from chandiscrim.optimize import (
-    OptimizerOptions,
-    _best_bloch_grid_point,
-    _objective,
-    _random_starts,
-    _run_multistart,
-    _vector_to_params,
-    optimize_entangled,
-    optimize_single,
-)
-from chandiscrim.probes import (
-    BipartitePureProbe,
-    SinglePureProbe,
-    basis_probe,
-    bloch_qubit,
-    max_entangled,
-    uniform_superposition,
-)
+from chandiscrim.linalg import from_pairs
+from chandiscrim.optimize import OptimizerOptions, optimize_entangled, optimize_single
+from chandiscrim.probes import BipartitePureProbe, SinglePureProbe, bloch_qubit
 
 FAST = OptimizerOptions(restarts=4, seed=11)
 
@@ -168,66 +158,43 @@ def test_warm_starts_must_match_the_channel_dimensions():
             )
 
 
-@pytest.mark.parametrize("entangled", [False, True])
-def test_lockstep_multistart_equals_each_start_alone(entangled):
-    # restarts evaluated together in stacked calls follow the trajectories
-    # they follow one by one, bit for bit
-    opts = OptimizerOptions(restarts=3, seed=8)
-    rng = np.random.default_rng(opts.seed)
-    if entangled:
-        d = 3
-        ch1, ch2 = make_depolarizing(d, 0.8), make_depolarizing(d, 0.3)
-        fn = _objective(ch1, ch2, (d, d))
-        starts = [_vector_to_params(max_entangled(d).amplitudes)]
-        starts.extend(_random_starts(rng, opts.restarts, 2 * d * d))
-    else:
-        ch1, ch2 = make_amplitude_damping(0.3), make_amplitude_damping(0.1)
-        fn = _objective(ch1, ch2, (2,))
-        starts = [
-            _vector_to_params(uniform_superposition(2).amplitudes),
-            _vector_to_params(basis_probe(2, 0).amplitudes),
-            _best_bloch_grid_point(fn)[0],
-        ]
-        starts.extend(_random_starts(rng, opts.restarts, 4))
-
-    x, fx, meta = _run_multistart(fn, starts, opts)
-    alone = [_run_multistart(fn, [x0], opts) for x0 in starts]
-    assert meta["restart_values"] == [a_fx for _, a_fx, _ in alone]
-    assert meta["evaluations"] == sum(a_meta["evaluations"] for _, _, a_meta in alone)
-    best = int(np.argmax(meta["restart_values"]))
-    a_x, a_fx, a_meta = alone[best]
-    assert np.array_equal(x, a_x)
-    assert fx == a_fx
-    assert meta["iterations"] == a_meta["iterations"]
-    assert meta["final_step"] == a_meta["final_step"]
-
-
 def test_pinned_trajectories():
     # exact values and evaluation counts of two searches; a change that moves
-    # a trajectory fails here. The amplitude-damping pin dates from one
-    # restart after another; the dephasing search takes the Gram-form kernel
-    # (2r = 8 <= D = 9), recorded when that form came in
+    # a trajectory fails here
     res = optimize_single(
         make_amplitude_damping(0.3), make_amplitude_damping(0.1), OptimizerOptions(restarts=4)
     )
-    assert res.probability.hex() == "0x1.3333333333334p-1"
-    assert res.optimizer_meta["evaluations"] == 3760
+    assert res.probability.hex() == "0x1.3333333333333p-1"
+    assert res.optimizer_meta["evaluations"] == 232
     res = optimize_entangled(
         make_dephasing(3, 0.9), make_dephasing(3, 0.2), OptimizerOptions(restarts=2)
     )
-    assert res.probability.hex() == "0x1.b333333333336p-1"
-    assert res.optimizer_meta["evaluations"] == 5469
+    assert res.probability.hex() == "0x1.b333333333338p-1"
+    assert res.optimizer_meta["evaluations"] == 48
+
+
+def _objective(ch1, ch2, shape):
+    """Equal-prior values of the probes that parameter rows ``[re | im]`` encode."""
+    k1, k2 = np.stack(ch1.kraus), np.stack(ch2.kraus)
+
+    def probability(xs):
+        half = xs.shape[1] // 2
+        v = xs[:, :half] + 1j * xs[:, half:]
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        return helstrom_pure(k1, k2, v.reshape(-1, *shape), 0.5)
+
+    return probability
 
 
 def _oracle_search(fn, x0, step_tolerance, max_sweeps):
-    """The compass search scoring one point per objective call, written as a plain loop.
+    """A compass search scoring one point per objective call, written as a plain loop.
 
-    The reference for the batched driver: the same first-improvement polls and
-    step schedule, with no generator and no stacking.
+    The brute-force reference for the see-saw: first-improvement coordinate
+    polls on the parameters ``[re | im]``, the step halved after a sweep
+    without gain, the scale fixed after each sweep with one.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = fn(x[None])[0]
-    evals = 1
     step = 0.3
     sweeps = 0
     while step > step_tolerance and sweeps < max_sweeps:
@@ -238,7 +205,6 @@ def _oracle_search(fn, x0, step_tolerance, max_sweeps):
             for delta in (step, -step):
                 x[k] = base + delta
                 fc = fn(x[None])[0]
-                evals += 1
                 if fc > fx:
                     fx = fc
                     base = x[k]
@@ -246,77 +212,167 @@ def _oracle_search(fn, x0, step_tolerance, max_sweeps):
                     break
             x[k] = base
         if improved:
-            norm = np.linalg.norm(x)
-            if norm > 1e-12:
-                x /= norm
-                fx = fn(x[None])[0]
-                evals += 1
+            x /= np.linalg.norm(x)
+            fx = fn(x[None])[0]
         else:
             step *= 0.5
-    return x, fx, step, sweeps, evals
+    return fx
 
 
-def _oracle_multistart(fn, starts, opts):
-    outcomes = [_oracle_search(fn, x0, opts.step_tolerance, opts.max_iterations) for x0 in starts]
-    best = None
-    for x, fx, step, sweeps, _ in outcomes:
-        if best is None or fx > best[1]:
-            best = (x, fx, step, sweeps)
-    x, fx, step, sweeps = best
-    meta = {
-        "restarts": len(starts),
-        "iterations": sweeps,
-        "final_step": step,
-        "evaluations": sum(outcome[4] for outcome in outcomes),
-        "restart_values": [float(outcome[1]) for outcome in outcomes],
-    }
-    return x, float(fx), meta
+def _stinespring_channel(rng, dim: int, branches: int) -> Channel:
+    g = rng.standard_normal((dim * branches, dim)) + 1j * rng.standard_normal((dim * branches, dim))
+    v, _ = np.linalg.qr(g)
+    return Channel(dim, dim, tuple(np.split(v, branches)))
 
 
-@pytest.mark.parametrize(
-    "optimizer, channels, restarts, opts",
-    [
-        # wide: 66 live searches get one poll each per round
-        (optimize_single, (make_amplitude_damping(0.3), make_amplitude_damping(0.1)), 63,
-         dict(max_iterations=6)),
-        (optimize_entangled, (make_dephasing(3, 0.9), make_dephasing(3, 0.2)), 64,
-         dict(max_iterations=3)),
-        # narrow: few searches get whole sweeps, or the most of one, per round
-        (optimize_single, (make_amplitude_damping(0.3), make_amplitude_damping(0.1)), 1, {}),
-        (optimize_entangled, (make_dephasing(3, 0.9), make_dephasing(3, 0.2)), 1,
-         dict(step_tolerance=1e-5)),
-    ],
-)
-def test_batched_polls_match_one_point_oracle(monkeypatch, optimizer, channels, restarts, opts):
-    # the value of every poll a search drops is never seen, so the path, the
-    # per-restart values and the count of values used match one-point polling
-    opts = OptimizerOptions(restarts=restarts, seed=17, **opts)
-    batched = optimizer(*channels, opts)
-    monkeypatch.setattr(optimize, "_run_multistart", _oracle_multistart)
-    oracle = optimizer(*channels, opts)
-    assert batched.probability.hex() == oracle.probability.hex()
-    assert batched.optimizer_meta == oracle.optimizer_meta
-    assert batched.probe == oracle.probe
+def _oracle_cases():
+    """(label, optimizer, ch1, ch2, opts): every pair verify optimizes, then random pairs."""
+    one = OptimizerOptions(restarts=1, seed=5)
+    loose = OptimizerOptions(restarts=1, step_tolerance=1e-6, max_iterations=1500, seed=5)
+    u = np.diag([1.0, np.exp(1j * np.pi / 3.0)])
+    cases = [
+        (f"depolarizing d={d}", optimize_single, make_depolarizing(d, 0.9), make_depolarizing(d, 0.3), one)
+        for d in (2, 3, 4)
+    ]
+    cases.append(
+        ("depolarizing d=2", optimize_entangled, make_depolarizing(2, 0.9), make_depolarizing(2, 0.3), one)
+    )
+    for d in (2, 3, 4, 5):
+        pair = (make_dephasing(d, 0.9), make_dephasing(d, 0.2))
+        cases.append((f"dephasing d={d}", optimize_single, *pair, one))
+        cases.append((f"dephasing d={d}", optimize_entangled, *pair, one if d <= 3 else loose))
+    pair = (make_generalized_dephasing(u, 0.8), make_generalized_dephasing(u, 0.2))
+    cases.append(("unitary mixing", optimize_single, *pair, one))
+    cases.append(("unitary mixing", optimize_entangled, *pair, one))
+    for mu1, mu2 in [(0.81, 0.36), (0.04, 0.01)]:
+        pair = (make_amplitude_damping(mu1), make_amplitude_damping(mu2))
+        cases.append((f"amplitude damping {mu1}/{mu2}", optimize_single, *pair, one))
+    cases.append(
+        ("mixed-unitary d3", optimize_single, *mixed_unitary_pair_d3(),
+         OptimizerOptions(restarts=1, step_tolerance=1e-6, seed=5))
+    )
+    rng = np.random.default_rng(8)
+    for i in range(8):
+        d, b1, b2 = 2 + i % 2, 1 + i % 3, 1 + (i + 1) % 3
+        pair = (_stinespring_channel(rng, d, b1), _stinespring_channel(rng, d, b2))
+        for optimizer in (optimize_single, optimize_entangled):
+            cases.append((f"random {i} d={d} r={b1},{b2}", optimizer, *pair, one))
+    return cases
 
 
-def test_lockstep_rounds_batch_polls(monkeypatch):
-    # machine-independent guard on the batching: a d = 4 entangled search
-    # scores many polls per kernel call, and no call exceeds the row cap
-    rows = []
-    objective = optimize._objective
+def test_seesaw_never_ends_below_one_point_oracle():
+    # started from the probe a search reports, the compass oracle never finds
+    # a value more than 1e-12 above it
+    for label, optimizer, ch1, ch2, opts in _oracle_cases():
+        res = optimizer(ch1, ch2, opts)
+        dims = res.probe["dims"]
+        found = from_pairs(res.probe["amplitudes"])
+        fn = _objective(ch1, ch2, (dims[0],) if len(dims) == 1 else tuple(dims))
+        x0 = np.concatenate([found.real, found.imag])
+        oracle = _oracle_search(fn, x0, opts.step_tolerance, opts.max_iterations)
+        assert res.probability >= oracle - 1e-12, (label, optimizer.__name__, res.probability, oracle)
 
-    def counted(ch1, ch2, shape):
-        fn = objective(ch1, ch2, shape)
 
-        def probability(xs):
-            rows.append(len(xs))
-            return fn(xs)
+@pytest.mark.parametrize("p1", [0.5, 0.3])
+def test_seesaw_steps_never_lower_the_value(monkeypatch, p1):
+    # along the recorded trajectory of one start, the see-saw probe of each
+    # step is worth at least the probe it came from, up to the rounding of two
+    # D x D eigen-solves, and every accepted value is above the one before
+    measure = optimize._measure
+    calls = []
 
-        return probability
+    def recorded(k1, k2, p1, psi):
+        values, s = measure(k1, k2, p1, psi)
+        calls.append(values.copy())
+        return values, s
 
-    monkeypatch.setattr(optimize, "_objective", counted)
+    monkeypatch.setattr(optimize, "_measure", recorded)
+    rng = np.random.default_rng(12)
+    opts = OptimizerOptions(restarts=1, step_tolerance=1e-12)
+    for i in range(6):
+        d, dim_b = 2 + i % 2, 1 if i < 3 else 2 + i % 2
+        ch1, ch2 = _stinespring_channel(rng, d, 1 + i % 3), _stinespring_channel(rng, d, 2)
+        start = rng.standard_normal(d * dim_b) + 1j * rng.standard_normal(d * dim_b)
+        calls.clear()
+        optimize._seesaw(ch1, ch2, p1, [start / np.linalg.norm(start)], dim_b, opts)
+        accepted = [calls[0][0]]
+        for near, far in calls[1:]:
+            assert near >= accepted[-1] - 1e-14, (i, near, accepted[-1])
+            if max(near, far) > accepted[-1]:
+                accepted.append(max(near, far))
+        assert len(calls) > 2 and len(accepted) == len(calls) - 1
+        assert all(b > a for a, b in zip(accepted, accepted[1:]))
+
+
+def test_reported_probability_is_the_fixed_probe_value():
+    # the probability a search reports is what discrim_fixed_* gives for the
+    # probe it reports, bit for bit, also when the search stops at once
+    ch1, ch2 = make_amplitude_damping(0.3), make_amplitude_damping(0.1)
+    d3 = (make_dephasing(3, 0.9), make_dephasing(3, 0.2))
+    rng = np.random.default_rng(6)
+    random = (_stinespring_channel(rng, 3, 2), _stinespring_channel(rng, 3, 3))
+    for pair in [(ch1, ch2), d3, random]:
+        for p1 in (0.5, 0.3):
+            for opts in (FAST, OptimizerOptions(restarts=1, max_iterations=1, seed=2)):
+                res = optimize_single(*pair, opts, p1=p1)
+                probe = SinglePureProbe(from_pairs(res.probe["amplitudes"]))
+                assert discrim_fixed_single(*pair, probe, p1).probability == res.probability
+                res = optimize_entangled(*pair, opts, p1=p1)
+                probe = BipartitePureProbe(*res.probe["dims"], from_pairs(res.probe["amplitudes"]))
+                assert discrim_fixed_entangled(*pair, probe, p1).probability == res.probability
+                assert max(res.optimizer_meta["restart_values"]) == res.probability
+
+
+def test_seesaw_makes_one_batched_eigh_per_step(monkeypatch):
+    # machine-independent guard on the stacking: every see-saw step of a d = 4
+    # entangled search is one eigh of all live differences and one of their
+    # M matrices, and the search stays under a pinned evaluation count
+    rows, eighs = [], []
+    difference, eigh = optimize.pure_difference, np.linalg.eigh
+
+    def counted_difference(k1, k2, psi, p1):
+        rows.append(len(psi))
+        return difference(k1, k2, psi, p1)
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "pure_difference", counted_difference)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     opts = OptimizerOptions(restarts=4, seed=3)
     res = optimize_entangled(make_dephasing(4, 0.9), make_dephasing(4, 0.2), opts)
     starts = opts.restarts + 2
-    assert len(rows) < res.optimizer_meta["evaluations"] / 5
-    assert max(rows) <= max(64, starts)
+    steps = len(rows) - 1
+    assert res.probability == pytest.approx(dephasing_closed(0.9, 0.2), abs=1e-12)
+    assert 1 <= steps <= opts.max_iterations
+    assert rows[0] == starts and all(0 < m <= 2 * starts and m % 2 == 0 for m in rows[1:])
+    assert len(eighs) == 2 * steps + 1
+    assert [shape[0] for shape in eighs[::2]] == rows  # the differences, all 16 x 16
+    assert all(shape[1:] == (16, 16) for shape in eighs)
+    assert [2 * shape[0] for shape in eighs[1::2]] == rows[1:]  # the M matrices
+    assert res.optimizer_meta["evaluations"] == sum(rows) + starts
+    assert res.optimizer_meta["evaluations"] <= 100  # 74 when pinned
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p1", [0.3, 0.8])
+def test_optimizers_take_any_prior(d, p1):
+    # every pure probe gives the depolarizing value (1/2)(1 + |a + b/d| +
+    # (d - 1)|b/d|); the pair is jointly covariant, so the entangled optimum is
+    # the same expression with d^2 in place of d
+    q1, q2 = 0.9, 0.3
+    a = p1 * q1 - (1.0 - p1) * q2
+    b = p1 * (1.0 - q1) - (1.0 - p1) * (1.0 - q2)
+
+    def value(dim):
+        return 0.5 * (1.0 + abs(a + b / dim) + (dim - 1) * abs(b / dim))
+
+    pair = (make_depolarizing(d, q1), make_depolarizing(d, q2))
+    assert optimize_single(*pair, FAST, p1=p1).probability == pytest.approx(value(d), abs=1e-9)
+    assert optimize_entangled(*pair, FAST, p1=p1).probability == pytest.approx(value(d * d), abs=1e-9)
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="p1 must lie in"):
+            optimize_single(*pair, FAST, p1=bad)
+        with pytest.raises(ValueError, match="p1 must lie in"):
+            optimize_entangled(*pair, FAST, p1=bad)
