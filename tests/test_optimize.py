@@ -273,6 +273,48 @@ def test_seesaw_never_ends_below_one_point_oracle():
         assert res.probability >= oracle - 1e-12, (label, optimizer.__name__, res.probability, oracle)
 
 
+@pytest.mark.parametrize(
+    "optimizer, channels, restarts, opts",
+    [
+        # wide: 65 or 66 starts share every kernel call
+        (optimize_single, (make_amplitude_damping(0.3), make_amplitude_damping(0.1)), 63,
+         dict(max_iterations=6)),
+        (optimize_entangled, (make_dephasing(3, 0.9), make_dephasing(3, 0.2)), 64,
+         dict(max_iterations=3)),
+        # narrow: the two fixed starts and one random one
+        (optimize_single, (make_amplitude_damping(0.3), make_amplitude_damping(0.1)), 1, {}),
+        (optimize_entangled, (make_dephasing(3, 0.9), make_dephasing(3, 0.2)), 1,
+         dict(step_tolerance=1e-5)),
+    ],
+)
+def test_batched_polls_match_one_point_oracle(monkeypatch, optimizer, channels, restarts, opts):
+    # the stacked see-saw scores every start as if it were alone: with each
+    # measurement, eigen-solve and final value computed for one probe per call,
+    # the path, the per-restart values and the evaluation count are the same
+    opts = OptimizerOptions(restarts=restarts, seed=17, **opts)
+    batched = optimizer(*channels, opts)
+    measure, eigh = optimize._measure, np.linalg.eigh
+
+    def one_point_measure(k1, k2, p1, psi):
+        parts = [measure(k1, k2, p1, psi[j : j + 1]) for j in range(len(psi))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def one_point_eigh(a):
+        parts = [eigh(a[j : j + 1]) for j in range(len(a))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def one_point_helstrom(k1, k2, psi, p1):
+        return np.concatenate([helstrom_pure(k1, k2, psi[j : j + 1], p1) for j in range(len(psi))])
+
+    monkeypatch.setattr(optimize, "_measure", one_point_measure)
+    monkeypatch.setattr(np.linalg, "eigh", one_point_eigh)
+    monkeypatch.setattr(optimize, "helstrom_pure", one_point_helstrom)
+    oracle = optimizer(*channels, opts)
+    assert batched.probability.hex() == oracle.probability.hex()
+    assert batched.optimizer_meta == oracle.optimizer_meta
+    assert batched.probe == oracle.probe
+
+
 @pytest.mark.parametrize("p1", [0.5, 0.3])
 def test_seesaw_steps_never_lower_the_value(monkeypatch, p1):
     # along the recorded trajectory of one start, the see-saw probe of each
