@@ -4,11 +4,15 @@ Channel families covered: depolarizing, dephasing (plus its arbitrary-unitary
 generalization), qubit amplitude damping, mixed-unitary ensembles (including
 two built-in pairs used as discrimination witnesses), and erasure. Every
 constructed channel is checked for trace preservation and complete positivity
-at build time.
+at build time, on its Kraus operators stacked into one array: one matrix
+product gives sum_i K_i†K_i, one more the Choi matrix, and one ``eigvalsh``
+its minimum eigenvalue. The depolarizing family scales Weyl operators that are
+built once per dimension and kept read-only in a small cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -70,19 +74,23 @@ class Channel:
             raise ValueError("channel dimensions must be positive")
         if not self.kraus:
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = tuple(_frozen(k) for k in self.kraus)
+        ops = [as_complex(k) for k in self.kraus]
         for k in ops:
             if k.shape != (self.dim_out, self.dim_in):
                 raise ValueError(
                     f"Kraus operator of shape {k.shape} does not match "
                     f"(dim_out, dim_in) = ({self.dim_out}, {self.dim_in})"
                 )
-        object.__setattr__(self, "kraus", ops)
+        stack = np.stack(ops)  # a copy: no caller array is shared
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus", tuple(stack))
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
-        tp = sum(k.conj().T @ k for k in ops)
+        # sum_i K_i†K_i = R†R for the Kraus operators stacked into rows R.
+        rows = stack.reshape(-1, self.dim_in)
+        tp = rows.conj().T @ rows
         tp_residual = float(np.max(np.abs(tp - np.eye(self.dim_in))))
-        choi_min = float(np.linalg.eigvalsh(_choi_matrix(ops, self.dim_in)).min())
+        choi_min = float(np.linalg.eigvalsh(_choi_matrix(stack, self.dim_in)).min())
         if tp_residual > CPTP_ATOL or choi_min < -CPTP_ATOL:
             raise CPTPError(
                 f"Kraus set is not CPTP: sum K†K residual = {tp_residual:.3e}, "
@@ -127,13 +135,10 @@ class MixedUnitaryEnsemble:
 
 
 def _choi_matrix(kraus: Sequence[np.ndarray], dim_in: int) -> np.ndarray:
-    # (N (x) I)(|phi+><phi+|): the branch (K (x) I)|phi+> is row-major vec(K)/sqrt(d).
-    vecs = [k.reshape(-1) / np.sqrt(dim_in) for k in kraus]
-    n = vecs[0].size
-    out = np.zeros((n, n), dtype=complex)
-    for v in vecs:
-        out += np.outer(v, v.conj())
-    return out
+    # (N (x) I)(|phi+><phi+|) = sum_i v_i v_i†: the branch (K_i (x) I)|phi+> is
+    # row-major vec(K_i)/sqrt(d), and the rows v_i^T of one matrix give the sum.
+    rows = np.reshape(kraus, (len(kraus), -1)) / np.sqrt(dim_in)
+    return rows.T @ rows.conj()
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -173,6 +178,23 @@ def clock_matrix(d: int) -> np.ndarray:
     return np.diag(omega ** np.arange(d))
 
 
+@functools.lru_cache(maxsize=8)
+def _weyl_operators(d: int) -> np.ndarray:
+    """The Weyl operators X^a Z^b other than the identity, (a, b) row-major; read-only."""
+    x = shift_matrix(d)
+    z = clock_matrix(d)
+    ops = []
+    for a in range(d):
+        xa = np.linalg.matrix_power(x, a)
+        for b in range(d):
+            if a == 0 and b == 0:
+                continue
+            ops.append(xa @ np.linalg.matrix_power(z, b))
+    out = np.stack(ops)
+    out.setflags(write=False)
+    return out
+
+
 def make_depolarizing(d: int, q: float) -> Channel:
     """Depolarizing channel rho -> q*rho + (1-q)*I/d on C^d.
 
@@ -183,17 +205,9 @@ def make_depolarizing(d: int, q: float) -> Channel:
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     q = _check_probability("q", q)
-    x = shift_matrix(d)
-    z = clock_matrix(d)
     w = (1.0 - q) / d**2
-    kraus = [np.sqrt(q + w) * np.eye(d, dtype=complex)]
-    for a in range(d):
-        xa = np.linalg.matrix_power(x, a)
-        for b in range(d):
-            if a == 0 and b == 0:
-                continue
-            kraus.append(np.sqrt(w) * (xa @ np.linalg.matrix_power(z, b)))
-    return Channel(d, d, tuple(kraus), family="depolarizing", params={"d": d, "q": q})
+    kraus = (np.sqrt(q + w) * np.eye(d, dtype=complex), *(np.sqrt(w) * _weyl_operators(d)))
+    return Channel(d, d, kraus, family="depolarizing", params={"d": d, "q": q})
 
 
 def make_dephasing(d: int, r: float) -> Channel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -70,6 +71,14 @@ def _write(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _finite(what: str, text) -> float:
+    """``text`` as a float; a ValueError naming it if it is nan or infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_weights(text: str) -> tuple[float, float, float]:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 3:
@@ -81,7 +90,7 @@ def _unitary_from_args(args) -> np.ndarray:
     if args.phases is not None and args.unitary_json is not None:
         raise ValueError("give either --phases or --unitary-json, not both")
     if args.phases is not None:
-        phases = [float(p) for p in args.phases.split(",") if p.strip()]
+        phases = [_finite("--phases angle", p) for p in args.phases.split(",") if p.strip()]
         if len(phases) < 2:
             raise ValueError("--phases needs at least two comma-separated angles")
         return np.diag(np.exp(1j * np.array(phases)))
@@ -154,6 +163,8 @@ def _parse_zeta(body: str) -> tuple[complex, complex]:
         re2, im2 = (float(x) for x in right.split(","))
     except ValueError as exc:
         raise ValueError(f"zeta probe spec has non-numeric components: {exc}") from exc
+    for x in (re1, im1, re2, im2):
+        _finite("zeta probe component", x)
     return complex(re1, im1), complex(re2, im2)
 
 
@@ -168,8 +179,8 @@ def _fixed_single_probe(body: str, dim: int):
         return basis_probe(dim, index)
     if body.startswith("theta="):
         kv = _parse_kv(body, "single probe")
-        theta = float(kv.get("theta", "0"))
-        delta = float(kv.get("delta", "0"))
+        theta = _finite("theta", kv.get("theta", "0"))
+        delta = _finite("delta", kv.get("delta", "0"))
         if dim != 2:
             raise ValueError("theta/delta probes are qubit-only")
         return bloch_qubit(theta, delta)
@@ -232,8 +243,8 @@ def evaluate_probe_class(
         kv = _parse_kv(body, f"{head} probe")
         if name not in kv:
             raise ValueError(f"{head} probe spec must give {name}, e.g. {head}:{name}=0.3")
-        x = float(kv[name])
-        z = float(kv.get("z", "0")) if head == "nonmax" else 0.0
+        x = _finite(name, kv[name])
+        z = _finite("z", kv.get("z", "0")) if head == "nonmax" else 0.0
         if p1 == 0.5 and fam is not None and fam.probe_param == name:
             return _closed_result(closed["nonmax"]({**values, name: x, "z": z}), head)
         if ch1.dim_in != 2:
@@ -513,9 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call: parsing keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; the only place an exception becomes an exit code."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; the only place an exception becomes an exit code.
+
+    It may be called repeatedly in one process; the parser is built once.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CPTPError as exc:  # a ValueError, so it is caught first

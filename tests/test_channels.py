@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chandiscrim import channels
 from chandiscrim.channels import (
     CPTPError,
     Channel,
@@ -19,6 +20,7 @@ from chandiscrim.channels import (
     make_mixed_unitary,
     mixed_unitary_pair_d3,
     mixed_unitary_pair_d6,
+    shift_matrix,
 )
 from chandiscrim.linalg import ket, projector, tensor
 from chandiscrim.probes import max_entangled, uniform_superposition
@@ -30,6 +32,41 @@ def random_density(d, rng):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = a @ a.conj().T
     return rho / rho.trace().real
+
+
+def loop_weyl_kraus(d, q):
+    """The depolarizing Kraus set built term by term: the reference for the cached build."""
+    x, z = shift_matrix(d), clock_matrix(d)
+    w = (1.0 - q) / d**2
+    kraus = [np.sqrt(q + w) * np.eye(d, dtype=complex)]
+    for a in range(d):
+        xa = np.linalg.matrix_power(x, a)
+        for b in range(d):
+            if a == 0 and b == 0:
+                continue
+            kraus.append(np.sqrt(w) * (xa @ np.linalg.matrix_power(z, b)))
+    return kraus
+
+
+def loop_choi(kraus, dim_in):
+    """Sum of outer products vec(K)vec(K)†/d, one Kraus operator at a time."""
+    vecs = [k.reshape(-1) / np.sqrt(dim_in) for k in kraus]
+    out = np.zeros((vecs[0].size,) * 2, dtype=complex)
+    for v in vecs:
+        out += np.outer(v, v.conj())
+    return out
+
+
+def loop_tp_residual(kraus, dim_in):
+    tp = sum(k.conj().T @ k for k in kraus)
+    return float(np.max(np.abs(tp - np.eye(dim_in))))
+
+
+def stinespring_kraus(rng, dim_in, dim_out, branches):
+    """Kraus operators cut from a random isometry C^dim_in -> C^(dim_out * branches)."""
+    a = rng.standard_normal((dim_out * branches, dim_in))
+    v, _ = np.linalg.qr(a + 1j * rng.standard_normal(a.shape))
+    return [v[i * dim_out:(i + 1) * dim_out] for i in range(branches)]
 
 
 def assert_cptp(ch):
@@ -417,3 +454,49 @@ def test_kraus_arrays_are_immutable():
     ch = make_depolarizing(2, 0.5)
     with pytest.raises(ValueError):
         ch.kraus[0][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_depolarizing_kraus_equal_loop_build(d):
+    for q in (0.35, 0.9):
+        kraus = make_depolarizing(d, q).kraus
+        reference = loop_weyl_kraus(d, q)
+        assert len(kraus) == len(reference) == d * d
+        assert all(np.array_equal(k, r) for k, r in zip(kraus, reference))
+
+
+@pytest.mark.parametrize("dim_in, dim_out, branches", [(2, 3, 2), (3, 2, 4), (2, 5, 1), (4, 3, 3)])
+def test_choi_matches_loop_form(dim_in, dim_out, branches):
+    rng = np.random.default_rng(10 * dim_in + dim_out)
+    for _ in range(5):
+        kraus = stinespring_kraus(rng, dim_in, dim_out, branches)
+        ch = Channel(dim_in, dim_out, tuple(kraus))
+        assert np.max(np.abs(choi(ch) - loop_choi(kraus, dim_in))) <= 1e-15
+
+
+def test_scaled_kraus_residuals_match_loop_form():
+    rng = np.random.default_rng(7)
+    for dim_in, dim_out, branches in [(2, 2, 2), (3, 4, 2), (3, 2, 5)]:
+        kraus = [1.05 * k for k in stinespring_kraus(rng, dim_in, dim_out, branches)]
+        with pytest.raises(CPTPError) as err:
+            Channel(dim_in, dim_out, tuple(kraus))
+        tp_residual = loop_tp_residual(kraus, dim_in)
+        choi_min = float(np.linalg.eigvalsh(loop_choi(kraus, dim_in)).min())
+        assert tp_residual > 1e-10
+        assert abs(err.value.tp_residual - tp_residual) <= 1e-15
+        assert abs(err.value.choi_min_eigenvalue - choi_min) <= 1e-15
+
+
+def test_weyl_cache_cannot_be_written_through_a_channel():
+    cached = channels._weyl_operators(3)
+    before = cached.copy()
+    ch = make_depolarizing(3, 0.4)
+    for k in ch.kraus:
+        assert not np.shares_memory(k, cached)
+        with pytest.raises(ValueError):
+            k[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        cached[0, 0, 0] = 5.0
+    assert np.array_equal(channels._weyl_operators(3), before)
+    rebuilt = make_depolarizing(3, 0.4).kraus
+    assert all(np.array_equal(k, r) for k, r in zip(rebuilt, loop_weyl_kraus(3, 0.4)))

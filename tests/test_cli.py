@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from chandiscrim import cli
 from chandiscrim.channels import channel_to_dict, make_amplitude_damping, mixed_unitary_pair_d6
 from chandiscrim.cli import main
 from chandiscrim.discrimination import FAMILIES, discrim_fixed_entangled, discrim_fixed_single
@@ -18,8 +19,7 @@ def run_cli(*args):
     """The CLI in a fresh interpreter, through its module entrypoint.
 
     Kept for the entrypoint itself, for checking that stderr holds no
-    traceback, and for inputs that must not raise a RuntimeWarning in this
-    process, where the test configuration turns it into an error.
+    traceback, and as the reference that repeated in-process calls match.
     """
     return subprocess.run(
         [sys.executable, "-m", "chandiscrim", *args], capture_output=True, text=True
@@ -104,15 +104,25 @@ def test_eval_rejects_bad_parameters(capsys):
     assert proc.returncode == 2
     assert "must be positive" in proc.stderr and "Traceback" not in proc.stderr
 
-    # a non-finite probe angle used to print "probability": NaN with exit 0
-    for theta in ("nan", "inf"):
-        proc = run_cli(
-            "eval", "amplitude-damping", "--mu1", "0.3", "--mu2", "0.1",
-            "--probe", f"single:theta={theta}",
-        )
-        assert proc.returncode == 2, proc.stdout
-        assert "normalized" in proc.stderr and "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+    # a non-finite probe angle used to print "probability": NaN with exit 0, and
+    # non-finite numbers in probe specs or --phases then leaked a RuntimeWarning
+    # (an error in this process) before "error:"
+    ad = ("amplitude-damping", "--mu1", "0.3", "--mu2", "0.1")
+    non_finite = [
+        ((*ad, "--probe", "single:theta=nan"), "theta must be a finite number, got 'nan'"),
+        ((*ad, "--probe", "single:theta=inf"), "theta must be a finite number, got 'inf'"),
+        ((*ad, "--probe", "single:theta=1,delta=nan"), "delta must be a finite number, got 'nan'"),
+        ((*ad, "--probe", "nonmax:g=.3,z=inf"), "z must be a finite number, got 'inf'"),
+        (("mixed-unitary-d3", "--probe", "zeta:c1=nan,0,c2=0,0"),
+         "zeta probe component must be a finite number, got nan"),
+        (("gen-dephasing", "--r1", "0.9", "--r2", "0.3", "--phases", "0,inf",
+          "--probe", "single:uniform"),
+         "--phases angle must be a finite number, got 'inf'"),
+    ]
+    for family_args, message in non_finite:
+        proc = run_main("eval", *family_args)
+        assert proc.returncode == 2, family_args
+        assert proc.stderr == f"error: {message}\n" and proc.stdout == ""
 
     # --d 0 used to fall back to d = 2
     proc = run_main(*base, "--d", "0")
@@ -434,6 +444,57 @@ def test_malformed_unitary_and_kraus_entries_exit_2(tmp_path, capsys):
         assert main(["custom", str(path), "--probe", probe]) == 2
         captured = capsys.readouterr()
         assert "channel2: malformed Kraus matrix 1" in captured.err and captured.out == ""
+
+
+def test_main_is_reentrant(tmp_path, monkeypatch):
+    # main parses with one parser built on its first call; no request may
+    # leave state in it that a later request sees
+    parser = cli._parser()
+    parse = parser.parse_args
+    calls = []
+
+    def spy(argv):
+        calls.append(argv)
+        return parse(argv)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+
+    sweep = ("sweep", "amplitude-damping", "--param", "mu1=0.1:0.2:0.1",
+             "--param", "mu2=0.3", "--probes", "single-closed,optimize-single",
+             "--restarts", "2", "--seed", "3")
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_main(*sweep, "--out", str(out1)).returncode == 0
+    assert run_main(*sweep, "--out", str(out2)).returncode == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert parse(list(sweep)).param == ["mu1=0.1:0.2:0.1", "mu2=0.3"]
+
+    # an argparse usage error, then a valid request
+    base = ("eval", "depolarizing", "--q1", "0.9", "--q2", "0.3")
+    proc = run_main(*base, "--probe")
+    assert proc.returncode == 2 and "expected one argument" in proc.stderr
+    proc = run_main(*base, "--probe", "maxent")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["probability"] == pytest.approx(0.725, abs=1e-12)
+
+    # a flag given once does not carry over to the next request
+    proc = run_main(*base, "--probe", "maxent", "--p1", "0.3")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["p1"] == 0.3
+    proc = run_main(*base, "--probe", "maxent")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["p1"] == 0.5
+
+    # custom, then eval; the eval matches a fresh interpreter byte for byte
+    path = tmp_path / "pair.json"
+    ch1, ch2 = make_amplitude_damping(0.3), make_amplitude_damping(0.1)
+    path.write_text(json.dumps({"channel1": channel_to_dict(ch1), "channel2": channel_to_dict(ch2)}))
+    proc = run_main("custom", str(path), "--probe", "single:|1>")
+    assert proc.returncode == 0, proc.stderr
+    ad = ("eval", "amplitude-damping", "--mu1", "0.3", "--mu2", "0.1", "--probe", "single:|1>")
+    proc = run_main(*ad)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*ad).stdout
+    assert json.loads(proc.stdout)["family"] == "amplitude-damping"
+
+    assert len(calls) == 8 and cli._parser() is parser
 
 
 def test_verify_subset_passes(tmp_path):
