@@ -2,9 +2,9 @@
 
 Channel families covered: depolarizing, dephasing (plus its arbitrary-unitary
 generalization), qubit amplitude damping, mixed-unitary ensembles (including
-two built-in pairs used as discrimination witnesses), and erasure. Every
-constructed channel is checked for trace preservation and complete positivity
-at build time, on its Kraus operators stacked into one array: one matrix
+two built-in pairs used as discrimination witnesses), and erasure. A channel
+keeps its Kraus operators as one read-only stack, ``Channel.kraus``, checked
+at build time for trace preservation and complete positivity: one matrix
 product gives sum_i K_i†K_i, one more the Choi matrix, and one ``eigvalsh``
 its minimum eigenvalue. The depolarizing family scales Weyl operators that are
 built once per dimension and kept read-only in a small cache.
@@ -56,23 +56,23 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A CPTP map stored as a list of Kraus operators.
+    """A CPTP map stored as its Kraus operators, stacked.
 
-    ``kraus`` holds dim_out x dim_in matrices with sum_i K_i†K_i = I and a
-    positive-semidefinite Choi matrix (both within ``CPTP_ATOL``). ``family``
-    and ``params`` carry a human-readable label for reporting.
+    ``kraus`` is a read-only (n, dim_out, dim_in) copy of the operators given
+    (matrices or a stack), with sum_i K_i†K_i = I and a positive-semidefinite
+    Choi matrix (both within ``CPTP_ATOL``); it indexes and iterates as the
+    operators. ``params`` records the parameters the channel was built from.
     """
 
     dim_in: int
     dim_out: int
-    kraus: tuple[np.ndarray, ...]
-    family: str = "custom"
+    kraus: np.ndarray
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("channel dimensions must be positive")
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         ops = [as_complex(k) for k in self.kraus]
         for k in ops:
@@ -83,7 +83,7 @@ class Channel:
                 )
         stack = np.stack(ops)  # a copy: no caller array is shared
         stack.setflags(write=False)
-        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
         # sum_i K_i†K_i = R†R for the Kraus operators stacked into rows R.
@@ -98,11 +98,6 @@ class Channel:
                 tp_residual=tp_residual,
                 choi_min_eigenvalue=choi_min,
             )
-
-    @property
-    def label(self) -> str:
-        pieces = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{self.family}({pieces})"
 
 
 @dataclass(frozen=True)
@@ -134,10 +129,10 @@ class MixedUnitaryEnsemble:
         object.__setattr__(self, "weights", ws)
 
 
-def _choi_matrix(kraus: Sequence[np.ndarray], dim_in: int) -> np.ndarray:
+def _choi_matrix(kraus: np.ndarray, dim_in: int) -> np.ndarray:
     # (N (x) I)(|phi+><phi+|) = sum_i v_i v_i†: the branch (K_i (x) I)|phi+> is
     # row-major vec(K_i)/sqrt(d), and the rows v_i^T of one matrix give the sum.
-    rows = np.reshape(kraus, (len(kraus), -1)) / np.sqrt(dim_in)
+    rows = kraus.reshape(len(kraus), -1) / np.sqrt(dim_in)
     return rows.T @ rows.conj()
 
 
@@ -207,7 +202,7 @@ def make_depolarizing(d: int, q: float) -> Channel:
     q = _check_probability("q", q)
     w = (1.0 - q) / d**2
     kraus = (np.sqrt(q + w) * np.eye(d, dtype=complex), *(np.sqrt(w) * _weyl_operators(d)))
-    return Channel(d, d, kraus, family="depolarizing", params={"d": d, "q": q})
+    return Channel(d, d, kraus, params={"d": d, "q": q})
 
 
 def make_dephasing(d: int, r: float) -> Channel:
@@ -220,7 +215,7 @@ def make_dephasing(d: int, r: float) -> Channel:
         raise ValueError(f"d must be at least 2, got {d}")
     r = _check_probability("r", r)
     kraus = (np.sqrt(r) * np.eye(d, dtype=complex), np.sqrt(1.0 - r) * clock_matrix(d))
-    return Channel(d, d, kraus, family="dephasing", params={"d": d, "r": r})
+    return Channel(d, d, kraus, params={"d": d, "r": r})
 
 
 def make_generalized_dephasing(u, r: float) -> Channel:
@@ -235,7 +230,7 @@ def make_generalized_dephasing(u, r: float) -> Channel:
     r = _check_probability("r", r)
     d = u.shape[0]
     kraus = (np.sqrt(r) * np.eye(d, dtype=complex), np.sqrt(1.0 - r) * u)
-    return Channel(d, d, kraus, family="generalized_dephasing", params={"d": d, "r": r})
+    return Channel(d, d, kraus, params={"d": d, "r": r})
 
 
 def make_amplitude_damping(mu: float) -> Channel:
@@ -243,18 +238,14 @@ def make_amplitude_damping(mu: float) -> Channel:
     mu = _check_probability("mu", mu)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(mu)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(1.0 - mu)], [0.0, 0.0]], dtype=complex)
-    return Channel(2, 2, (k0, k1), family="amplitude_damping", params={"mu": mu})
+    return Channel(2, 2, (k0, k1), params={"mu": mu})
 
 
 def make_mixed_unitary(ensemble: MixedUnitaryEnsemble) -> Channel:
     """Mixed-unitary channel with Kraus set {sqrt(q_k) U_k}."""
     d = ensemble.unitaries[0].shape[0]
     kraus = tuple(np.sqrt(q) * u for q, u in zip(ensemble.weights, ensemble.unitaries))
-    return Channel(
-        d, d, kraus,
-        family="mixed_unitary",
-        params={"d": d, "weights": tuple(ensemble.weights)},
-    )
+    return Channel(d, d, kraus, params={"d": d, "weights": tuple(ensemble.weights)})
 
 
 def _basis_op(d: int, entries: Iterable[tuple[int, int, complex]]) -> np.ndarray:
@@ -262,17 +253,6 @@ def _basis_op(d: int, entries: Iterable[tuple[int, int, complex]]) -> np.ndarray
     for i, j, c in entries:
         m[i, j] = c
     return m
-
-
-def _check_pair_weights(weights: Sequence[float]) -> tuple[float, float, float]:
-    ws = tuple(float(w) for w in weights)
-    if len(ws) != 3:
-        raise ValueError(f"expected exactly 3 weights, got {len(ws)}")
-    if any(not 0.0 < w < 1.0 for w in ws):
-        raise ValueError("each weight must lie strictly in (0, 1)")
-    if abs(sum(ws) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {sum(ws)!r}")
-    return ws
 
 
 def mixed_unitary_pair_d3(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> tuple[Channel, Channel]:
@@ -283,7 +263,6 @@ def mixed_unitary_pair_d3(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> t
     single-system probe separates them perfectly, a maximally entangled probe
     does not either, but a suitably weighted three-term entangled probe does.
     """
-    ws = _check_pair_weights(weights)
     first = [
         _basis_op(3, [(0, 0, 1), (1, 1, 1), (2, 2, 1)]),
         _basis_op(3, [(1, 0, 1), (2, 1, 1), (0, 2, 1)]),
@@ -294,8 +273,8 @@ def mixed_unitary_pair_d3(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> t
         _basis_op(3, [(1, 0, -1), (2, 1, 1), (0, 2, 1)]),
         _basis_op(3, [(2, 0, -1), (0, 1, 1), (1, 2, 1)]),
     ]
-    ch1 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(first), ws))
-    ch2 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(second), ws))
+    ch1 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(first), weights))
+    ch2 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(second), weights))
     return ch1, ch2
 
 
@@ -307,7 +286,6 @@ def mixed_unitary_pair_d6(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> t
     or |5>. Probing with |0> maps the two channels onto orthogonal supports,
     while a maximally entangled probe provably cannot reach certainty.
     """
-    ws = _check_pair_weights(weights)
 
     def swap(i: int, j: int) -> np.ndarray:
         m = np.eye(6, dtype=complex)
@@ -316,8 +294,8 @@ def mixed_unitary_pair_d6(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> t
 
     first = [np.eye(6, dtype=complex), swap(0, 1), swap(0, 2)]
     second = [swap(0, 3), swap(0, 4), swap(0, 5)]
-    ch1 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(first), ws))
-    ch2 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(second), ws))
+    ch1 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(first), weights))
+    ch2 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(second), weights))
     return ch1, ch2
 
 
@@ -336,7 +314,7 @@ def make_erasure(d: int, eps: float) -> Channel:
     kraus = [np.sqrt(eps) * embed]
     for i in range(d):
         kraus.append(np.sqrt(1.0 - eps) * np.outer(flag, ket(d, i).conj()))
-    return Channel(d, d + 1, tuple(kraus), family="erasure", params={"d": d, "eps": eps})
+    return Channel(d, d + 1, kraus, params={"d": d, "eps": eps})
 
 
 def apply(ch: Channel, rho) -> np.ndarray:
@@ -373,9 +351,7 @@ def channel_to_dict(ch: Channel) -> dict:
     }
 
 
-def channel_from_dict(
-    data, family: str = "custom", params: Mapping | None = None, name: str = "channel"
-) -> Channel:
+def channel_from_dict(data, name: str = "channel") -> Channel:
     """Build a channel from the JSON Kraus schema, validating CPTP on the way.
 
     Schema violations, non-finite entries included, raise ValueError; a
@@ -405,4 +381,4 @@ def channel_from_dict(
                 f"Kraus matrix of shape {k.shape} does not match "
                 f"(dim_out, dim_in) = ({dim_out}, {dim_in})"
             )
-    return Channel(dim_in, dim_out, tuple(kraus), family=family, params=params or {})
+    return Channel(dim_in, dim_out, kraus)

@@ -114,7 +114,8 @@ def _family_values(family: str, given: dict, flag: str, args) -> dict:
     """Parameter dict for ``FAMILIES[family]``: defaults filled, flag inputs added.
 
     A family flag set in ``args`` that the family does not read is an error,
-    so a stray ``--d`` or ``--phases`` is never silently dropped.
+    so a stray ``--d`` or ``--phases`` is never silently dropped. It decodes the
+    flag inputs (unitary file, phases, weights), so a sweep calls it once.
     """
     fam = FAMILIES[family]
     inputs = [f for name in fam.inputs for f in _INPUT_FLAGS[name]]
@@ -384,10 +385,9 @@ def cmd_sweep(args) -> int:
     mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
         (a, b) for a in grids[0] for b in grids[1]
     ]
+    base = _family_values(args.family, {n: vs[0] for n, vs in params.items()}, "--param ", args)
     for point in mesh:
-        given = {n: vs[0] for n, vs in params.items()}
-        given.update(zip(axis, point))
-        values = _family_values(args.family, given, "--param ", args)
+        values = {**base, **dict(zip(axis, point))}
         ch1, ch2, report = fam.make(values)
         shown = {n: report.get(n, v) for n, v in values.items() if n in known}
         for pc in probe_classes:
@@ -455,7 +455,6 @@ def _optimizer_options(args) -> OptimizerOptions:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="seed for all randomized steps")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--out", default=None, help="write the primary output to this path")
 
 
@@ -515,6 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
     p_verify.add_argument("--tolerance-scale", type=float, default=1.0)
+    p_verify.add_argument("--json", action="store_true", help="print the reports as JSON")
     p_verify.add_argument(
         "--only", type=criteria, default=None, help="comma-separated criterion numbers"
     )

@@ -119,7 +119,7 @@ def _fixed_probe_value(ch1: Channel, ch2: Channel, psi: np.ndarray, p1: float) -
             f"probe dimension {psi.shape[0]} does not match channel input {ch1.dim_in}"
         )
     p1 = _check_prior(p1)
-    return float(helstrom_pure(np.stack(ch1.kraus), np.stack(ch2.kraus), psi[None], p1)[0])
+    return float(helstrom_pure(ch1.kraus, ch2.kraus, psi[None], p1)[0])
 
 
 def discrim_fixed_single(

@@ -53,6 +53,7 @@ from .discrimination import (
     helstrom_pure,
     pure_difference,
 )
+from .linalg import ket
 from .probes import (
     BipartitePureProbe,
     SinglePureProbe,
@@ -102,17 +103,17 @@ def _seesaw(ch1: Channel, ch2: Channel, p1: float, starts, dim_b: int, opts: Opt
     ``starts`` are unit vectors on C^dim_in (x) C^dim_b. Returns the best probe
     over the starts, its ``helstrom_pure`` value and the optimizer metadata.
     """
-    k1, k2 = np.stack(ch1.kraus), np.stack(ch2.kraus)
-    shape = (ch1.dim_in,) if dim_b == 1 else (ch1.dim_in, dim_b)
+    k1, k2 = ch1.kraus, ch2.kraus
+    shape = (-1, ch1.dim_in, dim_b)  # the probes as the kernel takes them
     # L_i = K_i (x) 1_B with its weight: M = left @ [S L_1; S L_2; ...], S L_i from S @ right
-    ops = np.stack([np.kron(k, np.eye(dim_b)) for k in (*k1, *k2)])  # (r, D, n)
+    ops = np.kron(np.concatenate([k1, k2]), np.eye(dim_b))  # (r, D, n)
     r, dim, n = ops.shape
     weights = np.repeat([p1, -(1.0 - p1)], [len(k1), len(k2)])
     left = (weights[:, None, None] * ops.conj().swapaxes(1, 2)).swapaxes(0, 1).reshape(n, r * dim)
     right = ops.swapaxes(0, 1).reshape(dim, r * n)
 
     psi = np.array(starts, dtype=complex)
-    value, s = _measure(k1, k2, p1, psi.reshape(-1, *shape))
+    value, s = _measure(k1, k2, p1, psi.reshape(shape))
     evaluations = len(psi)
     steps = np.zeros(len(psi), dtype=int)
     moved = np.zeros(len(psi))
@@ -127,7 +128,7 @@ def _seesaw(ch1: Channel, ch2: Channel, p1: float, starts, dim_b: int, opts: Opt
         far = old + stretch[live, None] * (near - old)
         far /= np.linalg.norm(far, axis=1, keepdims=True)
         both = np.concatenate([near, far])
-        v, s = _measure(k1, k2, p1, both.reshape(-1, *shape))
+        v, s = _measure(k1, k2, p1, both.reshape(shape))
         evaluations += 2 * m
         pick = np.arange(m) + m * (v[m:] > v[:m])
         new, v, s = both[pick], v[pick], s[pick]
@@ -145,7 +146,7 @@ def _seesaw(ch1: Channel, ch2: Channel, p1: float, starts, dim_b: int, opts: Opt
         if not live.size:
             break
 
-    final = helstrom_pure(k1, k2, psi.reshape(-1, *shape), p1)
+    final = helstrom_pure(k1, k2, psi.reshape(shape), p1)
     best = int(np.argmax(final))
     meta = {
         "restarts": len(psi),
@@ -165,6 +166,33 @@ def _random_starts(rng, count: int, dim: int):
         yield x[:dim] + 1j * x[dim:]
 
 
+def _optimize(ch1: Channel, ch2: Channel, opts, warm_starts, p1, fixed, probe_class: str):
+    """Search "single" probes, or bipartite ones with dim_b = dim_in for any other class.
+
+    The starts are, in order, the ``warm_starts``, the ``fixed`` amplitude
+    vectors and ``opts.restarts`` random ones.
+    """
+    _check_same_dims(ch1, ch2)
+    p1 = _check_prior(p1)
+    opts = opts or OptimizerOptions()
+    single = probe_class == "single"
+    d = ch1.dim_in
+    dims = (d,) if single else (d, d)
+    for probe in warm_starts or []:
+        got = (probe.dim,) if single else (probe.dim_a, probe.dim_b)
+        if got != dims:
+            raise ValueError(
+                f"warm start has dimension{'' if single else 's'} {'x'.join(map(str, got))}, "
+                f"expected {'x'.join(map(str, dims))}"
+            )
+    starts = [probe.amplitudes for probe in warm_starts or []] + fixed
+    starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d ** len(dims)))
+
+    psi, value, meta = _seesaw(ch1, ch2, p1, starts, 1 if single else d, opts)
+    probe = SinglePureProbe(psi) if single else BipartitePureProbe(d, d, psi)
+    return DiscriminationResult(value, probe_class, probe.to_dict(), "optimizer", meta)
+
+
 def optimize_single(
     ch1: Channel,
     ch2: Channel,
@@ -178,26 +206,9 @@ def optimize_single(
     superposition and |0>, so the result is never below those fixed-probe
     values, and from ``opts.restarts`` random probes.
     """
-    _check_same_dims(ch1, ch2)
-    p1 = _check_prior(p1)
-    if opts is None:
-        opts = OptimizerOptions()
     d = ch1.dim_in
-    for probe in warm_starts or []:
-        if probe.dim != d:
-            raise ValueError(f"warm start has dimension {probe.dim}, expected {d}")
-    starts = [probe.amplitudes for probe in warm_starts or []]
-    starts += [uniform_superposition(d).amplitudes, basis_probe(d, 0).amplitudes]
-    starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d))
-
-    psi, value, meta = _seesaw(ch1, ch2, p1, starts, 1, opts)
-    return DiscriminationResult(
-        probability=value,
-        probe_class="single",
-        probe=SinglePureProbe(psi).to_dict(),
-        method="optimizer",
-        optimizer_meta=meta,
-    )
+    fixed = [uniform_superposition(d).amplitudes, basis_probe(d, 0).amplitudes]
+    return _optimize(ch1, ch2, opts, warm_starts, p1, fixed, "single")
 
 
 def optimize_entangled(
@@ -213,27 +224,6 @@ def optimize_entangled(
     probe is at most dim_in), so the B side is fixed to dim_in. Starts include
     the maximally entangled probe and the product probe |0>|0>.
     """
-    _check_same_dims(ch1, ch2)
-    p1 = _check_prior(p1)
-    if opts is None:
-        opts = OptimizerOptions()
     d = ch1.dim_in
-    for probe in warm_starts or []:
-        if (probe.dim_a, probe.dim_b) != (d, d):
-            raise ValueError(
-                f"warm start has dimensions {probe.dim_a}x{probe.dim_b}, expected {d}x{d}"
-            )
-    starts = [probe.amplitudes for probe in warm_starts or []]
-    product = np.zeros(d * d, dtype=complex)
-    product[0] = 1.0
-    starts += [max_entangled(d).amplitudes, product]
-    starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d * d))
-
-    psi, value, meta = _seesaw(ch1, ch2, p1, starts, d, opts)
-    return DiscriminationResult(
-        probability=value,
-        probe_class="general_entangled",
-        probe=BipartitePureProbe(d, d, psi).to_dict(),
-        method="optimizer",
-        optimizer_meta=meta,
-    )
+    fixed = [max_entangled(d).amplitudes, ket(d * d, 0)]  # the product probe |0>|0>
+    return _optimize(ch1, ch2, opts, warm_starts, p1, fixed, "general_entangled")

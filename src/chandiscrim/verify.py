@@ -10,6 +10,7 @@ module asserts on them criterion by criterion.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -606,8 +607,11 @@ def run_acceptance(
 ) -> list[ScenarioReport]:
     """Run the verification battery; optimizer-based tolerances scale with ``tolerance_scale``.
 
-    ``only`` picks criteria by number; an empty set or an unknown number is a ValueError.
+    ``only`` picks criteria by number; an empty set or an unknown number is a ValueError,
+    as is a ``tolerance_scale`` that is negative or not finite (0 is allowed).
     """
+    if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0):
+        raise ValueError(f"tolerance scale must be finite and >= 0, got {tolerance_scale!r}")
     if only is not None and not (only and set(only).issubset(_CRITERIA)):
         raise ValueError(
             f"criteria must be a non-empty set drawn from 1..{len(_CRITERIA)}, got {sorted(only)}"

@@ -456,6 +456,26 @@ def test_kraus_arrays_are_immutable():
         ch.kraus[0][0, 0] = 5.0
 
 
+def test_kraus_is_one_read_only_stack():
+    rng = np.random.default_rng(3)
+    ops = stinespring_kraus(rng, 2, 3, 4)
+    ch = Channel(2, 3, ops)
+    assert isinstance(ch.kraus, np.ndarray) and ch.kraus.shape == (4, 3, 2)
+    assert not ch.kraus.flags.writeable
+    assert not any(np.shares_memory(ch.kraus, k) for k in ops)
+    assert len(ch.kraus) == 4 and all(np.array_equal(k, o) for k, o in zip(ch.kraus, ops))
+    # a stack, such as another channel's kraus, builds the same channel
+    again = Channel(2, 3, ch.kraus)
+    assert np.array_equal(again.kraus, ch.kraus) and not np.shares_memory(again.kraus, ch.kraus)
+    assert np.array_equal(choi(again), choi(ch))
+    rho = random_density(2, rng)
+    assert np.array_equal(apply(again, rho), apply(ch, rho))
+    with pytest.raises(ValueError, match="a channel needs at least one Kraus operator"):
+        Channel(2, 2, [])
+    with pytest.raises(ValueError, match=r"Kraus operator of shape \(3, 3\) does not match"):
+        Channel(2, 2, [np.eye(2), np.zeros((3, 3))])
+
+
 @pytest.mark.parametrize("d", range(2, 8))
 def test_depolarizing_kraus_equal_loop_build(d):
     for q in (0.35, 0.9):

@@ -11,7 +11,7 @@ from chandiscrim import cli
 from chandiscrim.channels import channel_to_dict, make_amplitude_damping, mixed_unitary_pair_d6
 from chandiscrim.cli import main
 from chandiscrim.discrimination import FAMILIES, discrim_fixed_entangled, discrim_fixed_single
-from chandiscrim.linalg import from_pairs
+from chandiscrim.linalg import from_pairs, to_pairs
 from chandiscrim.probes import BipartitePureProbe, SinglePureProbe
 
 
@@ -522,6 +522,54 @@ def test_verify_zero_tolerance_fails_optimizer_checks():
     reports = json.loads(proc.stdout)
     failed = {r["scenario_id"] for r in reports if not r["passed"]}
     assert failed and all("optimizer" in sid for sid in failed)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+def test_verify_rejects_invalid_tolerance_scale(scale):
+    # these used to run the battery: nan and -1 failed 3 of 9 checks, inf passed them all
+    proc = run_main("verify", "--only", "1", "--tolerance-scale", scale)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: tolerance scale") and scale in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_verify_zero_tolerance_prints_the_table():
+    proc = run_main("verify", "--only", "1", "--tolerance-scale", "0")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[0].startswith("scenario")
+    assert "checks passed" in proc.stdout and proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "dephasing", "--r1", "0.9", "--r2", "0.2", "--probe", "single"],
+        ["sweep", "dephasing", "--param", "r1=0.9", "--param", "r2=0.2", "--probes", "single-closed"],
+        ["custom", "pair.json", "--probe", "single:|0>"],
+    ],
+)
+def test_json_flag_is_verify_only(argv):
+    proc = run_main(*argv, "--json")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --json" in proc.stderr and proc.stdout == ""
+
+
+def test_sweep_reads_the_unitary_file_once(tmp_path, monkeypatch):
+    phases = [0.0, 1.1, 2.5]
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(to_pairs(np.diag(np.exp(1j * np.array(phases))))))
+    grid = ["--param", "r1=0.5:0.9:0.4", "--param", "r2=0.1:0.3:0.2",
+            "--probes", "single-closed,maxent-closed"]
+    by_phases = run_main("sweep", "gen-dephasing", *grid, "--phases", ",".join(map(str, phases)))
+    assert by_phases.returncode == 0, by_phases.stderr
+    reads = []
+    read = cli._read_json
+    monkeypatch.setattr(cli, "_read_json", lambda p: reads.append(p) or read(p))
+    by_file = run_main("sweep", "gen-dephasing", *grid, "--unitary-json", str(path))
+    assert by_file.returncode == 0, by_file.stderr
+    assert reads == [str(path)]
+    assert len(by_file.stdout.splitlines()) == 1 + 4 * 2
+    assert by_file.stdout == by_phases.stdout
 
 
 def test_verify_seed_variation_keeps_pass_set(tmp_path):
