@@ -57,7 +57,7 @@ from .linalg import (
     trace_norm_hermitian,
     unitary_eigenphases,
 )
-from .optimize import OptimizerOptions, optimize_entangled, optimize_single
+from .optimize import OptimizerOptions, optimize_entangled, optimize_pairs, optimize_single
 from .probes import (
     BipartitePureProbe,
     SinglePureProbe,

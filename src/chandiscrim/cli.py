@@ -27,7 +27,7 @@ from .discrimination import (
     discrim_fixed_single,
 )
 from .linalg import from_pairs
-from .optimize import OptimizerOptions, optimize_entangled, optimize_single
+from .optimize import OptimizerOptions, optimize_entangled, optimize_pairs, optimize_single
 from .probes import (
     basis_probe,
     bloch_qubit,
@@ -334,12 +334,11 @@ def _parse_param_spec(text: str) -> tuple[str, list[float]]:
 _SWEEP_CLASSES = ("maxent-closed", "nonmax-closed", "optimize-ent", "optimize-single", "single-closed")
 
 
-def _sweep_value(family: str, values: dict, ch1, ch2, probe_class: str, opts) -> tuple[float, dict]:
-    if probe_class in ("optimize-single", "optimize-ent"):
-        run = optimize_single if probe_class == "optimize-single" else optimize_entangled
-        result = run(ch1, ch2, opts)
-        meta = {k: result.optimizer_meta[k] for k in ("restarts", "iterations", "final_step")}
-        return float(result.probability), {"optimizer_meta": meta}
+# The sweep classes that run the optimizer, with the probe class each searches.
+_SWEEP_SEARCHES = {"optimize-single": "single", "optimize-ent": "general_entangled"}
+
+
+def _sweep_closed(family: str, values: dict, probe_class: str) -> tuple[float, dict]:
     fam = FAMILIES[family]
     kind = probe_class[: -len("-closed")]
     if kind not in fam.closed:
@@ -380,18 +379,35 @@ def cmd_sweep(args) -> int:
     opts = _optimizer_options(args)
 
     axis = ranged if ranged else list(params)[:1]
-    rows = []
     grids = [sorted(params[name]) for name in axis]
     mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
         (a, b) for a in grids[0] for b in grids[1]
     ]
     base = _family_values(args.family, {n: vs[0] for n, vs in params.items()}, "--param ", args)
+    # Channels and closed forms point by point, so the first bad point reports
+    # first; then one optimize_pairs call per optimizer class searches them all.
+    points, pairs = [], []
     for point in mesh:
         values = {**base, **dict(zip(axis, point))}
         ch1, ch2, report = fam.make(values)
         shown = {n: report.get(n, v) for n, v in values.items() if n in known}
+        found = {
+            pc: _sweep_closed(args.family, values, pc)
+            for pc in probe_classes
+            if pc not in _SWEEP_SEARCHES
+        }
+        points.append((point, shown, found))
+        pairs.append((ch1, ch2))
+    for pc, probe_class in _SWEEP_SEARCHES.items():
+        if pc in probe_classes:
+            for (_, _, found), result in zip(points, optimize_pairs(pairs, probe_class, opts)):
+                meta = {k: result.optimizer_meta[k] for k in ("restarts", "iterations", "final_step")}
+                found[pc] = float(result.probability), {"optimizer_meta": meta}
+
+    rows = []
+    for point, shown, found in points:
         for pc in probe_classes:
-            value, detail = _sweep_value(args.family, values, ch1, ch2, pc, opts)
+            value, detail = found[pc]
             rows.append(
                 (
                     args.family,

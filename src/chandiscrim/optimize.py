@@ -17,16 +17,20 @@ tries the stretched probe psi + t (phi - psi), normalized, beyond the see-saw
 probe phi; t starts at 2, doubles while the stretched probe wins and halves,
 not below 2, when it loses. A step keeps the better of the two.
 
-All starts run as one stack. Each step takes one batched ``eigh`` of the M
-matrices of the live starts, which gives their see-saw probes, and one of the
-differences of the see-saw and stretched probes, which gives their values and
-measurements. A start stops at the first of:
+All starts run as one stack, and so do the searches of many channel pairs
+(``optimize_pairs``, which a sweep calls once per optimizer class): the pairs
+whose Kraus stacks share their shapes run together. Each step takes one
+batched ``eigh`` of the M matrices of the live starts, which gives their
+see-saw probes, and one of the differences of the see-saw and stretched
+probes, which gives their values and measurements. A start stops at the first
+of:
 
 (a) a step that does not raise its value; it keeps its previous probe, and
     its final step is 0;
 (b) a step whose stretched probe lies within ``step_tolerance`` of the
     previous probe (2-norm, after aligning the global phase);
-(c) a rate that cannot catch the best start: gain * (steps left) < best - value;
+(c) a rate that cannot catch the best start of its pair:
+    gain * (steps left) < best - value;
 (d) ``max_iterations`` steps.
 
 Rule (c) ends the losing starts that creep toward a kink by rounding-sized
@@ -84,8 +88,8 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if not self.step_tolerance > 0:  # also rejects nan
-            raise ValueError("step_tolerance must be positive")
+        if not 0 < self.step_tolerance < np.inf:  # also rejects nan
+            raise ValueError(f"step_tolerance must be positive and finite, got {self.step_tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
@@ -97,39 +101,52 @@ def _measure(k1, k2, p1, psi):
     return values, (vec * np.sign(lam)[:, None, :]) @ vec.conj().swapaxes(1, 2)
 
 
-def _seesaw(ch1: Channel, ch2: Channel, p1: float, starts, dim_b: int, opts: OptimizerOptions):
-    """Run the see-saw ascent from every start as one stack.
+def _seesaw(k1, k2, p1: float, starts, dim_b: int, opts: OptimizerOptions):
+    """Run the see-saw ascent from every start of every channel pair as one stack.
 
-    ``starts`` are unit vectors on C^dim_in (x) C^dim_b. Returns the best probe
-    over the starts, its ``helstrom_pure`` value and the optimizer metadata.
+    ``k1`` and ``k2`` stack the Kraus operators of P pairs, shapes
+    (P, n1, dim_out, dim_in) and (P, n2, dim_out, dim_in); ``starts`` holds the
+    S starts of each pair, a (P, S, dim_in * dim_b) array of unit vectors on
+    C^dim_in (x) C^dim_b. Returns one (psi, value, meta) per pair: the best
+    probe over its starts, its ``helstrom_pure`` value and the optimizer
+    metadata. Every start takes the path it takes alone, so each pair's result
+    is bit for bit that of a one-pair call.
     """
-    k1, k2 = ch1.kraus, ch2.kraus
-    shape = (-1, ch1.dim_in, dim_b)  # the probes as the kernel takes them
-    # L_i = K_i (x) 1_B with its weight: M = left @ [S L_1; S L_2; ...], S L_i from S @ right
-    ops = np.kron(np.concatenate([k1, k2]), np.eye(dim_b))  # (r, D, n)
-    r, dim, n = ops.shape
-    weights = np.repeat([p1, -(1.0 - p1)], [len(k1), len(k2)])
-    left = (weights[:, None, None] * ops.conj().swapaxes(1, 2)).swapaxes(0, 1).reshape(n, r * dim)
-    right = ops.swapaxes(0, 1).reshape(dim, r * n)
+    npairs, count, _ = starts.shape
+    pair = np.repeat(np.arange(npairs), count)  # the pair of each start
 
-    psi = np.array(starts, dtype=complex)
-    value, s = _measure(k1, k2, p1, psi.reshape(shape))
-    evaluations = len(psi)
+    def of(a, pairs):
+        """The operators ``a`` of these pairs, one per start; a lone pair's broadcast."""
+        return a[0] if npairs == 1 else a[pairs]
+
+    shape = (-1, k1.shape[-1], dim_b)  # the probes as the kernel takes them
+    # L_i = K_i (x) 1_B with its weight: M = left @ [S L_1; S L_2; ...], S L_i from S @ right
+    ops = np.kron(np.concatenate([k1, k2], axis=1), np.eye(dim_b))  # (P, r, D, n)
+    r, dim, n = ops.shape[1:]
+    weights = np.repeat([p1, -(1.0 - p1)], [k1.shape[1], k2.shape[1]])
+    left = (weights[:, None, None] * ops.conj().swapaxes(2, 3)).swapaxes(1, 2)
+    left = left.reshape(npairs, n, r * dim)
+    right = ops.swapaxes(1, 2).reshape(npairs, dim, r * n)
+
+    psi = np.array(starts, dtype=complex).reshape(npairs * count, -1)
+    value, s = _measure(of(k1, pair), of(k2, pair), p1, psi.reshape(shape))
+    evaluations = np.full(npairs, count)
     steps = np.zeros(len(psi), dtype=int)
     moved = np.zeros(len(psi))
     stretch = np.full(len(psi), 2.0)
     live = np.arange(len(psi))
     for k in range(1, opts.max_iterations + 1):
-        m = len(live)
-        sl = (s @ right).reshape(m, dim, r, n).swapaxes(1, 2).reshape(m, r * dim, n)
-        near = np.linalg.eigh(left @ sl)[1][..., -1]
+        m, at = len(live), pair[live]
+        sl = (s @ of(right, at)).reshape(m, dim, r, n).swapaxes(1, 2).reshape(m, r * dim, n)
+        near = np.linalg.eigh(of(left, at) @ sl)[1][..., -1]
         old = psi[live]
         near *= np.exp(-1j * np.angle(np.sum(old.conj() * near, axis=1)))[:, None]
         far = old + stretch[live, None] * (near - old)
         far /= np.linalg.norm(far, axis=1, keepdims=True)
         both = np.concatenate([near, far])
-        v, s = _measure(k1, k2, p1, both.reshape(shape))
-        evaluations += 2 * m
+        twice = np.concatenate([at, at])
+        v, s = _measure(of(k1, twice), of(k2, twice), p1, both.reshape(shape))
+        evaluations += 2 * np.bincount(at, minlength=npairs)
         pick = np.arange(m) + m * (v[m:] > v[:m])
         new, v, s = both[pick], v[pick], s[pick]
         stretch[live] = np.where(pick >= m, np.minimum(2.0 * stretch[live], _MAX_STRETCH),
@@ -140,22 +157,26 @@ def _seesaw(ch1: Channel, ch2: Channel, p1: float, starts, dim_b: int, opts: Opt
         up = live[raised]
         psi[up], value[up], steps[up], moved[up] = new[raised], v[raised], k, move[raised]
         moved[live[~raised]] = 0.0
-        hopeless = gain * (opts.max_iterations - k) < value.max() - value[live]
+        top = value.reshape(npairs, count).max(axis=1)[at]  # the best start of each pair
+        hopeless = gain * (opts.max_iterations - k) < top - value[live]
         go = raised & (move > opts.step_tolerance) & ~hopeless
         live, s = live[go], s[go]
         if not live.size:
             break
 
-    final = helstrom_pure(k1, k2, psi.reshape(shape), p1)
-    best = int(np.argmax(final))
-    meta = {
-        "restarts": len(psi),
-        "iterations": int(steps[best]),
-        "final_step": float(moved[best]),
-        "evaluations": evaluations + len(psi),
-        "restart_values": final.tolist(),
-    }
-    return psi[best], float(final[best]), meta
+    final = helstrom_pure(of(k1, pair), of(k2, pair), psi.reshape(shape), p1)
+    found = []
+    for j, values in enumerate(final.reshape(npairs, count)):
+        best = j * count + int(np.argmax(values))
+        meta = {
+            "restarts": count,
+            "iterations": int(steps[best]),
+            "final_step": float(moved[best]),
+            "evaluations": int(evaluations[j]) + count,
+            "restart_values": values.tolist(),
+        }
+        found.append((psi[best], float(final[best]), meta))
+    return found
 
 
 def _random_starts(rng, count: int, dim: int):
@@ -166,31 +187,69 @@ def _random_starts(rng, count: int, dim: int):
         yield x[:dim] + 1j * x[dim:]
 
 
-def _optimize(ch1: Channel, ch2: Channel, opts, warm_starts, p1, fixed, probe_class: str):
-    """Search "single" probes, or bipartite ones with dim_b = dim_in for any other class.
+def _fixed_starts(probe_class: str, d: int) -> list:
+    """The amplitude vectors every search of ``probe_class`` on input dimension d starts from."""
+    if probe_class == "single":
+        return [uniform_superposition(d).amplitudes, basis_probe(d, 0).amplitudes]
+    return [max_entangled(d).amplitudes, ket(d * d, 0)]  # |phi+> and the product probe |0>|0>
 
-    The starts are, in order, the ``warm_starts``, the ``fixed`` amplitude
-    vectors and ``opts.restarts`` random ones.
+
+def _optimize(pairs, probe_class: str, opts, p1, warm_starts=None) -> list[DiscriminationResult]:
+    """Search "single" probes, or bipartite ones with dim_b = dim_in, for each channel pair.
+
+    The pairs whose Kraus stacks have the same shapes run as one see-saw
+    stack. Each search starts from, in order, the ``warm_starts``, the fixed
+    starts of ``probe_class`` and ``opts.restarts`` random ones.
     """
-    _check_same_dims(ch1, ch2)
+    groups: dict[tuple, list[int]] = {}
+    for i, (ch1, ch2) in enumerate(pairs):
+        _check_same_dims(ch1, ch2)
+        groups.setdefault((ch1.kraus.shape, ch2.kraus.shape), []).append(i)
     p1 = _check_prior(p1)
     opts = opts or OptimizerOptions()
     single = probe_class == "single"
-    d = ch1.dim_in
-    dims = (d,) if single else (d, d)
-    for probe in warm_starts or []:
-        got = (probe.dim,) if single else (probe.dim_a, probe.dim_b)
-        if got != dims:
-            raise ValueError(
-                f"warm start has dimension{'' if single else 's'} {'x'.join(map(str, got))}, "
-                f"expected {'x'.join(map(str, dims))}"
-            )
-    starts = [probe.amplitudes for probe in warm_starts or []] + fixed
-    starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d ** len(dims)))
+    results: list = [None] * len(pairs)
+    for members in groups.values():
+        d = pairs[members[0]][0].dim_in
+        dims = (d,) if single else (d, d)
+        for probe in warm_starts or []:
+            got = (probe.dim,) if single else (probe.dim_a, probe.dim_b)
+            if got != dims:
+                raise ValueError(
+                    f"warm start has dimension{'' if single else 's'} {'x'.join(map(str, got))}, "
+                    f"expected {'x'.join(map(str, dims))}"
+                )
+        starts = [probe.amplitudes for probe in warm_starts or []] + _fixed_starts(probe_class, d)
+        starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d ** len(dims)))
 
-    psi, value, meta = _seesaw(ch1, ch2, p1, starts, 1 if single else d, opts)
-    probe = SinglePureProbe(psi) if single else BipartitePureProbe(d, d, psi)
-    return DiscriminationResult(value, probe_class, probe.to_dict(), "optimizer", meta)
+        k1 = np.stack([pairs[i][0].kraus for i in members])
+        k2 = np.stack([pairs[i][1].kraus for i in members])
+        starts = np.array(starts, dtype=complex)
+        each = np.broadcast_to(starts, (len(members), *starts.shape))  # the same starts per pair
+        found = _seesaw(k1, k2, p1, each, 1 if single else d, opts)
+        for i, (psi, value, meta) in zip(members, found):
+            probe = SinglePureProbe(psi) if single else BipartitePureProbe(d, d, psi)
+            results[i] = DiscriminationResult(value, probe_class, probe.to_dict(), "optimizer", meta)
+    return results
+
+
+def optimize_pairs(
+    pairs: list[tuple[Channel, Channel]],
+    probe_class: str,
+    opts: OptimizerOptions | None = None,
+    p1: float = 0.5,
+) -> list[DiscriminationResult]:
+    """One search per channel pair, in input order, over ``probe_class`` probes, priors (p1, 1 - p1).
+
+    ``probe_class`` is "single" (the search of ``optimize_single``) or
+    "general_entangled" (that of ``optimize_entangled``). The searches of all
+    pairs whose Kraus stacks share their shapes run as one see-saw stack, so
+    each step makes one batched ``eigh`` for all their live starts; result i
+    is what the one-pair optimizer gives for ``pairs[i]``, bit for bit.
+    """
+    if probe_class not in ("single", "general_entangled"):
+        raise ValueError(f"probe_class must be 'single' or 'general_entangled', got {probe_class!r}")
+    return _optimize(pairs, probe_class, opts, p1)
 
 
 def optimize_single(
@@ -206,9 +265,7 @@ def optimize_single(
     superposition and |0>, so the result is never below those fixed-probe
     values, and from ``opts.restarts`` random probes.
     """
-    d = ch1.dim_in
-    fixed = [uniform_superposition(d).amplitudes, basis_probe(d, 0).amplitudes]
-    return _optimize(ch1, ch2, opts, warm_starts, p1, fixed, "single")
+    return _optimize([(ch1, ch2)], "single", opts, p1, warm_starts)[0]
 
 
 def optimize_entangled(
@@ -224,6 +281,4 @@ def optimize_entangled(
     probe is at most dim_in), so the B side is fixed to dim_in. Starts include
     the maximally entangled probe and the product probe |0>|0>.
     """
-    d = ch1.dim_in
-    fixed = [max_entangled(d).amplitudes, ket(d * d, 0)]  # the product probe |0>|0>
-    return _optimize(ch1, ch2, opts, warm_starts, p1, fixed, "general_entangled")
+    return _optimize([(ch1, ch2)], "general_entangled", opts, p1, warm_starts)[0]

@@ -302,6 +302,19 @@ def test_sweep_monotone_g_curve(tmp_path):
              "--probes", "single-closed"],
             "must be finite",
         ),
+        # the first point's closed form fails before the second point's channel
+        # is built, also with an optimizer class in the sweep
+        (
+            ["depolarizing", "--param", "d=3", "--param", "q1=0.5:1.5:1.0", "--param", "q2=0.2",
+             "--param", "g=0.3", "--probes", "nonmax-closed,optimize-single"],
+            "the nonmax closed form for depolarizing needs d=2",
+        ),
+        # an infinite tolerance used to stop every start after one step
+        (
+            ["amplitude-damping", "--param", "mu1=0.3", "--param", "mu2=0.1",
+             "--probes", "optimize-single", "--step-tolerance", "inf"],
+            "step_tolerance must be positive and finite, got inf",
+        ),
     ],
 )
 def test_sweep_rejects_points_eval_rejects(argv, message, capsys):
@@ -309,6 +322,23 @@ def test_sweep_rejects_points_eval_rejects(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_sweep_with_a_ranged_dimension_is_pinned():
+    # points of different d have Kraus stacks of different shapes, so their
+    # searches run as separate stacks; the rows and their bytes stay as pinned
+    proc = run_main(
+        "sweep", "depolarizing", "--param", "d=2:3:1", "--param", "q1=0.9", "--param", "q2=0.3",
+        "--probes", "optimize-single,optimize-ent", "--restarts", "3", "--seed", "4",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        'family,param1,param2,probe_class,probability,probe_params',
+        'depolarizing,2.0,,optimize-ent,0.7250000000000001,"{""d"": 2, ""optimizer_meta"": {""final_step"": 0.0, ""iterations"": 0, ""restarts"": 5}, ""q1"": 0.9, ""q2"": 0.3}"',
+        'depolarizing,2.0,,optimize-single,0.6500000000000001,"{""d"": 2, ""optimizer_meta"": {""final_step"": 2.789997486616424e-16, ""iterations"": 1, ""restarts"": 5}, ""q1"": 0.9, ""q2"": 0.3}"',
+        'depolarizing,3.0,,optimize-ent,0.7666666666666668,"{""d"": 3, ""optimizer_meta"": {""final_step"": 3.200043576638999e-16, ""iterations"": 1, ""restarts"": 5}, ""q1"": 0.9, ""q2"": 0.3}"',
+        'depolarizing,3.0,,optimize-single,0.7000000000000003,"{""d"": 3, ""optimizer_meta"": {""final_step"": 0.0, ""iterations"": 0, ""restarts"": 5}, ""q1"": 0.9, ""q2"": 0.3}"',
+    ]
 
 
 def _one_point_args(family: str, kind: str) -> dict:

@@ -1,7 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from chandiscrim import optimize
+from chandiscrim import cli, optimize
 from chandiscrim.channels import (
     Channel,
     make_amplitude_damping,
@@ -21,7 +24,12 @@ from chandiscrim.discrimination import (
     helstrom_pure,
 )
 from chandiscrim.linalg import from_pairs
-from chandiscrim.optimize import OptimizerOptions, optimize_entangled, optimize_single
+from chandiscrim.optimize import (
+    OptimizerOptions,
+    optimize_entangled,
+    optimize_pairs,
+    optimize_single,
+)
 from chandiscrim.probes import BipartitePureProbe, SinglePureProbe, bloch_qubit
 
 FAST = OptimizerOptions(restarts=4, seed=11)
@@ -34,6 +42,8 @@ def test_options_validation():
         OptimizerOptions(step_tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerOptions(step_tolerance=float("nan"))  # would end every search at once
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        OptimizerOptions(step_tolerance=float("inf"))  # would stop every start after one step
     with pytest.raises(ValueError):
         OptimizerOptions(max_iterations=0)
 
@@ -336,7 +346,8 @@ def test_seesaw_steps_never_lower_the_value(monkeypatch, p1):
         ch1, ch2 = _stinespring_channel(rng, d, 1 + i % 3), _stinespring_channel(rng, d, 2)
         start = rng.standard_normal(d * dim_b) + 1j * rng.standard_normal(d * dim_b)
         calls.clear()
-        optimize._seesaw(ch1, ch2, p1, [start / np.linalg.norm(start)], dim_b, opts)
+        starts = (start / np.linalg.norm(start))[None, None]  # one pair, one start
+        optimize._seesaw(ch1.kraus[None], ch2.kraus[None], p1, starts, dim_b, opts)
         accepted = [calls[0][0]]
         for near, far in calls[1:]:
             assert near >= accepted[-1] - 1e-14, (i, near, accepted[-1])
@@ -418,3 +429,99 @@ def test_optimizers_take_any_prior(d, p1):
             optimize_single(*pair, FAST, p1=bad)
         with pytest.raises(ValueError, match="p1 must lie in"):
             optimize_entangled(*pair, FAST, p1=bad)
+
+
+def _pair_lists():
+    """(label, pairs, p1) lists for ``optimize_pairs``: one shape each, then shapes mixed."""
+    grid = [
+        (make_amplitude_damping(mu1), make_amplitude_damping(mu2))
+        for mu1 in (0.04, 0.3, 0.81)
+        for mu2 in (0.01, 0.36)
+    ]
+    rng = np.random.default_rng(21)
+    random = {
+        d: [(_stinespring_channel(rng, d, 2), _stinespring_channel(rng, d, 3)) for _ in range(4)]
+        for d in (2, 3)
+    }
+    mixed = [
+        random[3][0],
+        (make_dephasing(2, 0.9), make_dephasing(2, 0.2)),
+        grid[0],
+        (make_dephasing(3, 0.9), make_dephasing(3, 0.2)),
+        random[2][1],
+        grid[3],
+    ]
+    cases = [
+        ("amplitude damping grid", grid, 0.5),
+        ("random d=2", random[2], 0.5),
+        ("random d=3", random[3], 0.5),
+        ("amplitude damping grid", grid, 0.3),
+        ("random d=3", random[3], 0.3),
+        ("mixed shapes", mixed, 0.5),
+    ]
+    return [pytest.param(*case, id=f"{case[0]} p1={case[2]}") for case in cases]
+
+
+@pytest.mark.parametrize("label, pairs, p1", _pair_lists())
+@pytest.mark.parametrize(
+    "probe_class, one_pair",
+    [("single", optimize_single), ("general_entangled", optimize_entangled)],
+    ids=["single", "entangled"],
+)
+def test_optimize_pairs_matches_one_pair_calls(label, pairs, p1, probe_class, one_pair):
+    # running the searches of many pairs as one stack changes nothing: each
+    # result, in input order, is bit for bit that of the pair searched alone
+    opts = OptimizerOptions(restarts=3, seed=13)
+    together = optimize_pairs(pairs, probe_class, opts, p1=p1)
+    assert len(together) == len(pairs)
+    for i, (res, pair) in enumerate(zip(together, pairs)):
+        alone = one_pair(*pair, opts, p1=p1)
+        assert res.probability.hex() == alone.probability.hex(), (label, i)
+        assert res.probe == alone.probe, (label, i)
+        assert res.optimizer_meta == alone.optimizer_meta, (label, i)
+        assert (res.probe_class, res.method) == (alone.probe_class, alone.method)
+
+
+def test_optimize_pairs_rejects_what_the_one_pair_calls_reject():
+    pair = (make_amplitude_damping(0.3), make_amplitude_damping(0.1))
+    assert optimize_pairs([], "single") == []
+    with pytest.raises(ValueError, match="probe_class must be"):
+        optimize_pairs([pair], "max_entangled")
+    with pytest.raises(ValueError, match="p1 must lie in"):
+        optimize_pairs([pair], "single", FAST, p1=1.5)
+    with pytest.raises(ValueError, match="channel dimensions differ"):
+        optimize_pairs([pair, (make_dephasing(3, 0.9), make_dephasing(2, 0.2))], "single")
+
+
+def test_sweep_runs_its_searches_as_one_stack(monkeypatch):
+    # machine-independent guard on the sweep batching: a 2 x 2 sweep makes
+    # one eigh per see-saw step of its longest search, twice, plus the first
+    # measurement, not one set of solves per grid point
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    mus = [(mu1, mu2) for mu1 in (0.2, 0.6) for mu2 in (0.1, 0.5)]
+    opts = OptimizerOptions(restarts=2, seed=3)
+    alone = []
+    for mu1, mu2 in mus:
+        eighs.clear()
+        optimize_single(make_amplitude_damping(mu1), make_amplitude_damping(mu2), opts)
+        alone.append(len(eighs))
+    steps = [(count - 1) // 2 for count in alone]
+    assert all(count == 2 * k + 1 for count, k in zip(alone, steps))
+    eighs.clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([
+            "sweep", "amplitude-damping", "--param", "mu1=0.2:0.6:0.4", "--param", "mu2=0.1:0.5:0.4",
+            "--probes", "optimize-single", "--restarts", "2", "--seed", "3",
+        ])
+    assert code == 0, err.getvalue()
+    assert len(out.getvalue().splitlines()) == 1 + len(mus)
+    assert len(eighs) == 2 * max(steps) + 1 < sum(alone)
+    assert eighs[0] == (len(mus) * (opts.restarts + 2), 2, 2)
