@@ -19,7 +19,8 @@ not below 2, when it loses. A step keeps the better of the two.
 
 All starts run as one stack, and so do the searches of many channel pairs
 (``optimize_pairs``, which a sweep calls once per optimizer class): the pairs
-whose Kraus stacks share their shapes run together. Each step takes one
+whose Kraus stacks share their shapes run together, as many at a time as keep
+a step's largest arrays under ``_STACK_ENTRIES`` entries. Each step takes one
 batched ``eigh`` of the M matrices of the live starts, which gives their
 see-saw probes, and one of the differences of the see-saw and stretched
 probes, which gives their values and measurements. A start stops at the first
@@ -69,6 +70,14 @@ from .probes import (
 # Cap on the extrapolation factor; far beyond the see-saw probe, the stretched
 # probe is the normalized see-saw direction and doubling changes nothing.
 _MAX_STRETCH = 2.0**20
+
+# Cap on the entries of the largest arrays a step of a stacked see-saw holds,
+# S @ right and its reordered copy: (live starts) x (n1 + n2) * D * n. _optimize
+# stacks as many pairs as fit under it, and runs a pair that does not fit alone,
+# broadcasting its operators. Below the cap a step's cost is mostly numpy call
+# overhead, which stacking saves; above it the arithmetic dominates, and the
+# per-start copies of a stack would only add memory and time.
+_STACK_ENTRIES = 2**15
 
 
 @dataclass
@@ -197,9 +206,10 @@ def _fixed_starts(probe_class: str, d: int) -> list:
 def _optimize(pairs, probe_class: str, opts, p1, warm_starts=None) -> list[DiscriminationResult]:
     """Search "single" probes, or bipartite ones with dim_b = dim_in, for each channel pair.
 
-    The pairs whose Kraus stacks have the same shapes run as one see-saw
-    stack. Each search starts from, in order, the ``warm_starts``, the fixed
-    starts of ``probe_class`` and ``opts.restarts`` random ones.
+    The pairs whose Kraus stacks have the same shapes run as see-saw stacks
+    of as many pairs as fit under ``_STACK_ENTRIES``. Each search starts from,
+    in order, the ``warm_starts``, the fixed starts of ``probe_class`` and
+    ``opts.restarts`` random ones.
     """
     groups: dict[tuple, list[int]] = {}
     for i, (ch1, ch2) in enumerate(pairs):
@@ -209,8 +219,7 @@ def _optimize(pairs, probe_class: str, opts, p1, warm_starts=None) -> list[Discr
     opts = opts or OptimizerOptions()
     single = probe_class == "single"
     results: list = [None] * len(pairs)
-    for members in groups.values():
-        d = pairs[members[0]][0].dim_in
+    for ((n1, dim_out, d), (n2, _, _)), members in groups.items():
         dims = (d,) if single else (d, d)
         for probe in warm_starts or []:
             got = (probe.dim,) if single else (probe.dim_a, probe.dim_b)
@@ -222,14 +231,21 @@ def _optimize(pairs, probe_class: str, opts, p1, warm_starts=None) -> list[Discr
         starts = [probe.amplitudes for probe in warm_starts or []] + _fixed_starts(probe_class, d)
         starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d ** len(dims)))
 
-        k1 = np.stack([pairs[i][0].kraus for i in members])
-        k2 = np.stack([pairs[i][1].kraus for i in members])
         starts = np.array(starts, dtype=complex)
-        each = np.broadcast_to(starts, (len(members), *starts.shape))  # the same starts per pair
-        found = _seesaw(k1, k2, p1, each, 1 if single else d, opts)
-        for i, (psi, value, meta) in zip(members, found):
-            probe = SinglePureProbe(psi) if single else BipartitePureProbe(d, d, psi)
-            results[i] = DiscriminationResult(value, probe_class, probe.to_dict(), "optimizer", meta)
+        dim_b = 1 if single else d
+        per_start = (n1 + n2) * dim_out * dim_b * d * dim_b
+        chunk = max(1, _STACK_ENTRIES // (len(starts) * per_start))
+        for at in range(0, len(members), chunk):
+            part = members[at : at + chunk]
+            if len(part) == 1:  # views: a lone search allocates what it always has
+                k1, k2 = (ch.kraus[None] for ch in pairs[part[0]])
+            else:
+                k1 = np.stack([pairs[i][0].kraus for i in part])
+                k2 = np.stack([pairs[i][1].kraus for i in part])
+            each = np.broadcast_to(starts, (len(part), *starts.shape))  # the same starts per pair
+            for i, (psi, value, meta) in zip(part, _seesaw(k1, k2, p1, each, dim_b, opts)):
+                probe = SinglePureProbe(psi) if single else BipartitePureProbe(d, d, psi)
+                results[i] = DiscriminationResult(value, probe_class, probe.to_dict(), "optimizer", meta)
     return results
 
 
@@ -242,10 +258,11 @@ def optimize_pairs(
     """One search per channel pair, in input order, over ``probe_class`` probes, priors (p1, 1 - p1).
 
     ``probe_class`` is "single" (the search of ``optimize_single``) or
-    "general_entangled" (that of ``optimize_entangled``). The searches of all
-    pairs whose Kraus stacks share their shapes run as one see-saw stack, so
-    each step makes one batched ``eigh`` for all their live starts; result i
-    is what the one-pair optimizer gives for ``pairs[i]``, bit for bit.
+    "general_entangled" (that of ``optimize_entangled``). The searches of
+    pairs whose Kraus stacks share their shapes run as one see-saw stack, as
+    many as fit under ``_STACK_ENTRIES``, so each step makes one batched
+    ``eigh`` for all their live starts; result i is what the one-pair
+    optimizer gives for ``pairs[i]``, bit for bit.
     """
     if probe_class not in ("single", "general_entangled"):
         raise ValueError(f"probe_class must be 'single' or 'general_entangled', got {probe_class!r}")

@@ -525,3 +525,34 @@ def test_sweep_runs_its_searches_as_one_stack(monkeypatch):
     assert len(out.getvalue().splitlines()) == 1 + len(mus)
     assert len(eighs) == 2 * max(steps) + 1 < sum(alone)
     assert eighs[0] == (len(mus) * (opts.restarts + 2), 2, 2)
+
+
+def test_optimize_pairs_splits_stacks_that_would_pass_the_entry_cap(monkeypatch):
+    # a stack takes as many pairs as keep (starts) x (n1 + n2) * D * n under
+    # _STACK_ENTRIES, so memory does not grow with the number of pairs; a
+    # pair over the cap runs alone, and results match the one-pair calls
+    sizes = []
+    seesaw = optimize._seesaw
+
+    def recorded(k1, k2, p1, starts, dim_b, opts):
+        sizes.append(starts.shape[0] * starts.shape[1] * (k1.shape[1] + k2.shape[1])
+                     * k1.shape[2] * dim_b * k1.shape[3] * dim_b)
+        assert starts.shape[0] == len(k1) == len(k2)
+        return seesaw(k1, k2, p1, starts, dim_b, opts)
+
+    monkeypatch.setattr(optimize, "_seesaw", recorded)
+    pairs = [(make_depolarizing(3, q1), make_depolarizing(3, 0.2)) for q1 in (0.1, 0.4, 0.6, 0.8, 0.9)]
+    per_pair = 6 * 18 * 9 * 9  # 6 starts, 9 + 9 Kraus operators K (x) 1 of shape 9 x 9
+    opts = OptimizerOptions(restarts=4, seed=5)
+    together = optimize_pairs(pairs, "general_entangled", opts)
+    fit = optimize._STACK_ENTRIES // per_pair
+    assert 1 < fit < len(pairs)
+    assert sizes == [fit * per_pair] * (len(pairs) // fit) + [len(pairs) % fit * per_pair]
+    for res, pair in zip(together, pairs):
+        alone = optimize_entangled(*pair, opts)
+        assert res.probability.hex() == alone.probability.hex()
+        assert (res.probe, res.optimizer_meta) == (alone.probe, alone.optimizer_meta)
+
+    sizes.clear()
+    optimize_pairs(pairs[:2], "general_entangled", OptimizerOptions(seed=5))  # 34 starts
+    assert sizes == [34 * 18 * 9 * 9] * 2 and sizes[0] > optimize._STACK_ENTRIES
