@@ -11,7 +11,6 @@ closed-form optimum against a see-saw probe optimizer.
 from .channels import (
     Channel,
     CPTPError,
-    MixedUnitaryEnsemble,
     apply,
     apply_on_A,
     channel_from_dict,

@@ -13,14 +13,14 @@ built once per dimension and kept read-only in a small cache.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .linalg import (
     HERMITIAN_ATOL,
+    UNITARY_ATOL,
     as_complex,
     from_pairs,
     hermiticity_defect,
@@ -48,12 +48,6 @@ class CPTPError(ValueError):
         self.choi_min_eigenvalue = choi_min_eigenvalue
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = as_complex(m).copy()
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Channel:
     """A CPTP map stored as its Kraus operators, stacked.
@@ -61,36 +55,30 @@ class Channel:
     ``kraus`` is a read-only (n, dim_out, dim_in) copy of the operators given
     (matrices or a stack), with sum_i K_i†K_i = I and a positive-semidefinite
     Choi matrix (both within ``CPTP_ATOL``); it indexes and iterates as the
-    operators. ``params`` records the parameters the channel was built from.
+    operators, and its shape gives ``dim_in`` and ``dim_out``.
     """
 
-    dim_in: int
-    dim_out: int
     kraus: np.ndarray
-    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ValueError("channel dimensions must be positive")
-        if len(self.kraus) == 0:
-            raise ValueError("a channel needs at least one Kraus operator")
-        ops = [as_complex(k) for k in self.kraus]
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator of shape {k.shape} does not match "
-                    f"(dim_out, dim_in) = ({self.dim_out}, {self.dim_in})"
-                )
-        stack = np.stack(ops)  # a copy: no caller array is shared
+        try:
+            stack = np.array(self.kraus, dtype=complex)  # a copy: no caller array is shared
+        except ValueError:
+            shapes = [np.shape(k) for k in self.kraus]
+            raise ValueError(f"Kraus operators must share one shape, got {shapes}") from None
+        if stack.ndim != 3 or 0 in stack.shape:
+            raise ValueError(
+                f"Kraus operators must stack to a non-empty (n, dim_out, dim_in) array, "
+                f"got shape {stack.shape}"
+            )
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
         # sum_i K_i†K_i = R†R for the Kraus operators stacked into rows R.
         rows = stack.reshape(-1, self.dim_in)
         tp = rows.conj().T @ rows
         tp_residual = float(np.max(np.abs(tp - np.eye(self.dim_in))))
-        choi_min = float(np.linalg.eigvalsh(_choi_matrix(stack, self.dim_in)).min())
+        choi_min = float(np.linalg.eigvalsh(_choi_matrix(stack)).min())
         if tp_residual > CPTP_ATOL or choi_min < -CPTP_ATOL:
             raise CPTPError(
                 f"Kraus set is not CPTP: sum K†K residual = {tp_residual:.3e}, "
@@ -99,40 +87,19 @@ class Channel:
                 choi_min_eigenvalue=choi_min,
             )
 
+    @property
+    def dim_in(self) -> int:
+        return self.kraus.shape[2]
 
-@dataclass(frozen=True)
-class MixedUnitaryEnsemble:
-    """Unitaries sampled with fixed probabilities: rho -> sum_k q_k U_k rho U_k†."""
-
-    unitaries: tuple[np.ndarray, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        us = tuple(_frozen(u) for u in self.unitaries)
-        ws = tuple(float(w) for w in self.weights)
-        if len(us) != len(ws) or not us:
-            raise ValueError("need equally many unitaries and weights, at least one")
-        if any(not 0.0 < w < 1.0 for w in ws) and len(ws) > 1:
-            raise ValueError("each weight must lie strictly in (0, 1)")
-        if len(ws) == 1 and not 0.0 < ws[0] <= 1.0:
-            raise ValueError("a single weight must be 1")
-        if abs(sum(ws) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(ws)!r}")
-        dim = us[0].shape[0]
-        for u in us:
-            if u.shape != (dim, dim) or not is_unitary(u):
-                raise ValueError(
-                    f"ensemble member is not unitary within {1e-10:.0e} "
-                    f"(residual {unitarity_defect(u):.3e})"
-                )
-        object.__setattr__(self, "unitaries", us)
-        object.__setattr__(self, "weights", ws)
+    @property
+    def dim_out(self) -> int:
+        return self.kraus.shape[1]
 
 
-def _choi_matrix(kraus: np.ndarray, dim_in: int) -> np.ndarray:
+def _choi_matrix(kraus: np.ndarray) -> np.ndarray:
     # (N (x) I)(|phi+><phi+|) = sum_i v_i v_i†: the branch (K_i (x) I)|phi+> is
     # row-major vec(K_i)/sqrt(d), and the rows v_i^T of one matrix give the sum.
-    rows = kraus.reshape(len(kraus), -1) / np.sqrt(dim_in)
+    rows = kraus.reshape(len(kraus), -1) / np.sqrt(kraus.shape[2])
     return rows.T @ rows.conj()
 
 
@@ -202,7 +169,7 @@ def make_depolarizing(d: int, q: float) -> Channel:
     q = _check_probability("q", q)
     w = (1.0 - q) / d**2
     kraus = (np.sqrt(q + w) * np.eye(d, dtype=complex), *(np.sqrt(w) * _weyl_operators(d)))
-    return Channel(d, d, kraus, params={"d": d, "q": q})
+    return Channel(kraus)
 
 
 def make_dephasing(d: int, r: float) -> Channel:
@@ -215,7 +182,7 @@ def make_dephasing(d: int, r: float) -> Channel:
         raise ValueError(f"d must be at least 2, got {d}")
     r = _check_probability("r", r)
     kraus = (np.sqrt(r) * np.eye(d, dtype=complex), np.sqrt(1.0 - r) * clock_matrix(d))
-    return Channel(d, d, kraus, params={"d": d, "r": r})
+    return Channel(kraus)
 
 
 def make_generalized_dephasing(u, r: float) -> Channel:
@@ -225,12 +192,12 @@ def make_generalized_dephasing(u, r: float) -> Channel:
         raise ValueError(f"u must be a square matrix of size at least 2, got shape {u.shape}")
     if not is_unitary(u):
         raise ValueError(
-            f"u is not unitary within {1e-10:.0e} (residual {unitarity_defect(u):.3e})"
+            f"u is not unitary within {UNITARY_ATOL:.0e} (residual {unitarity_defect(u):.3e})"
         )
     r = _check_probability("r", r)
     d = u.shape[0]
     kraus = (np.sqrt(r) * np.eye(d, dtype=complex), np.sqrt(1.0 - r) * u)
-    return Channel(d, d, kraus, params={"d": d, "r": r})
+    return Channel(kraus)
 
 
 def make_amplitude_damping(mu: float) -> Channel:
@@ -238,14 +205,29 @@ def make_amplitude_damping(mu: float) -> Channel:
     mu = _check_probability("mu", mu)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(mu)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(1.0 - mu)], [0.0, 0.0]], dtype=complex)
-    return Channel(2, 2, (k0, k1), params={"mu": mu})
+    return Channel((k0, k1))
 
 
-def make_mixed_unitary(ensemble: MixedUnitaryEnsemble) -> Channel:
-    """Mixed-unitary channel with Kraus set {sqrt(q_k) U_k}."""
-    d = ensemble.unitaries[0].shape[0]
-    kraus = tuple(np.sqrt(q) * u for q, u in zip(ensemble.weights, ensemble.unitaries))
-    return Channel(d, d, kraus, params={"d": d, "weights": tuple(ensemble.weights)})
+def make_mixed_unitary(unitaries: Sequence, weights: Sequence[float]) -> Channel:
+    """Mixed-unitary channel rho -> sum_k q_k U_k rho U_k†, Kraus set {sqrt(q_k) U_k}."""
+    us = [as_complex(u) for u in unitaries]
+    ws = [float(w) for w in weights]
+    if len(us) != len(ws) or not us:
+        raise ValueError("need equally many unitaries and weights, at least one")
+    if any(not 0.0 < w < 1.0 for w in ws) and len(ws) > 1:
+        raise ValueError("each weight must lie strictly in (0, 1)")
+    if len(ws) == 1 and not 0.0 < ws[0] <= 1.0:
+        raise ValueError("a single weight must be 1")
+    if abs(sum(ws) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {sum(ws)!r}")
+    dim = us[0].shape[0]
+    for u in us:
+        if u.shape != (dim, dim) or not is_unitary(u):
+            raise ValueError(
+                f"ensemble member is not unitary within {UNITARY_ATOL:.0e} "
+                f"(residual {unitarity_defect(u):.3e})"
+            )
+    return Channel([np.sqrt(q) * u for q, u in zip(ws, us)])
 
 
 def _basis_op(d: int, entries: Iterable[tuple[int, int, complex]]) -> np.ndarray:
@@ -273,9 +255,7 @@ def mixed_unitary_pair_d3(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> t
         _basis_op(3, [(1, 0, -1), (2, 1, 1), (0, 2, 1)]),
         _basis_op(3, [(2, 0, -1), (0, 1, 1), (1, 2, 1)]),
     ]
-    ch1 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(first), weights))
-    ch2 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(second), weights))
-    return ch1, ch2
+    return make_mixed_unitary(first, weights), make_mixed_unitary(second, weights)
 
 
 def mixed_unitary_pair_d6(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> tuple[Channel, Channel]:
@@ -294,9 +274,7 @@ def mixed_unitary_pair_d6(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> t
 
     first = [np.eye(6, dtype=complex), swap(0, 1), swap(0, 2)]
     second = [swap(0, 3), swap(0, 4), swap(0, 5)]
-    ch1 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(first), weights))
-    ch2 = make_mixed_unitary(MixedUnitaryEnsemble(tuple(second), weights))
-    return ch1, ch2
+    return make_mixed_unitary(first, weights), make_mixed_unitary(second, weights)
 
 
 def make_erasure(d: int, eps: float) -> Channel:
@@ -314,7 +292,7 @@ def make_erasure(d: int, eps: float) -> Channel:
     kraus = [np.sqrt(eps) * embed]
     for i in range(d):
         kraus.append(np.sqrt(1.0 - eps) * np.outer(flag, ket(d, i).conj()))
-    return Channel(d, d + 1, kraus, params={"d": d, "eps": eps})
+    return Channel(kraus)
 
 
 def apply(ch: Channel, rho) -> np.ndarray:
@@ -339,7 +317,7 @@ def apply_on_A(ch: Channel, rho_ab, dim_b: int) -> np.ndarray:
 
 def choi(ch: Channel) -> np.ndarray:
     """Choi matrix (N (x) I)(|phi+><phi+|) with normalized maximally entangled input."""
-    return _choi_matrix(ch.kraus, ch.dim_in)
+    return _choi_matrix(ch.kraus)
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -364,7 +342,7 @@ def channel_from_dict(data, name: str = "channel") -> Channel:
     if missing:
         raise ValueError(f"channel JSON is missing keys: {sorted(missing)}")
     dim_in, dim_out = data["dim_in"], data["dim_out"]
-    if not isinstance(dim_in, int) or not isinstance(dim_out, int):
+    if any(not isinstance(n, int) or isinstance(n, bool) for n in (dim_in, dim_out)):
         raise ValueError("dim_in and dim_out must be integers")
     raw = data["kraus"]
     if not isinstance(raw, list) or not raw:
@@ -381,4 +359,4 @@ def channel_from_dict(data, name: str = "channel") -> Channel:
                 f"Kraus matrix of shape {k.shape} does not match "
                 f"(dim_out, dim_in) = ({dim_out}, {dim_in})"
             )
-    return Channel(dim_in, dim_out, kraus)
+    return Channel(kraus)

@@ -28,7 +28,7 @@ from .channels import (
     mixed_unitary_pair_d3,
     mixed_unitary_pair_d6,
 )
-from .linalg import as_complex, hermitian_eig, unitary_eigenphases
+from .linalg import UNITARY_ATOL, as_complex, hermitian_eig, is_unitary, unitary_eigenphases
 from .probes import (
     BipartitePureProbe,
     SinglePureProbe,
@@ -204,14 +204,14 @@ def hull_min_distance(phases: Sequence[float]) -> float:
     return float(np.cos((2.0 * np.pi - widest) / 2.0))
 
 
-def gen_dephasing_closed(u, r1: float, r2: float, seed: int = 0) -> float:
+def gen_dephasing_closed(u, r1: float, r2: float) -> float:
     """Optimal single-probe value for channels r*rho + (1-r) U rho U†.
 
     Equals (1/2)(1 + |r1-r2| sqrt(1 - m^2)) where m is the distance from the
     origin to the convex hull of the eigenphase points of U; entangled probes
     cannot improve on it.
     """
-    phases = [theta for theta, _ in unitary_eigenphases(u, seed=seed)]
+    phases = [theta for theta, _ in unitary_eigenphases(u)]
     m = hull_min_distance(phases)
     return 0.5 * (1.0 + abs(r1 - r2) * np.sqrt(max(0.0, 1.0 - m * m)))
 
@@ -284,14 +284,14 @@ def hull_nearest_weights(phases: Sequence[float]) -> np.ndarray:
     raise ValueError("could not decompose the nearest hull point into convex weights")
 
 
-def gen_dephasing_optimal_probe(u, seed: int = 0) -> SinglePureProbe:
+def gen_dephasing_optimal_probe(u) -> SinglePureProbe:
     """A single-system probe attaining the generalized-dephasing optimum.
 
     Mixes eigenvectors of the unitary with amplitudes sqrt(w_k), where the
     weights place the convex combination of eigenphase points as close to the
     origin as possible.
     """
-    eig = unitary_eigenphases(u, seed=seed)
+    eig = unitary_eigenphases(u)
     weights = hull_nearest_weights([theta for theta, _ in eig])
     v = sum(np.sqrt(w) * vec for w, (_, vec) in zip(weights, eig))
     return SinglePureProbe(v / np.linalg.norm(v))
@@ -412,16 +412,25 @@ def mixed_unitary_maxent_bound(
 
 
 def ensemble_pairs(ch1: Channel, ch2: Channel) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Zip two mixed-unitary channels with shared weights into (V, W, q) triples."""
-    w1 = ch1.params.get("weights")
-    w2 = ch2.params.get("weights")
-    if w1 is None or w2 is None:
-        raise ValueError("both channels must be mixed-unitary with recorded weights")
-    if len(w1) != len(w2) or any(abs(a - b) > 1e-12 for a, b in zip(w1, w2)):
+    """Zip two mixed-unitary channels with shared weights into (V, W, q) triples.
+
+    A branch K = sqrt(q) U on C^d has q = ||K||_F^2 / d, so the weights come
+    from the Kraus operators. Both channels must give the same weights, and
+    every branch divided by sqrt(q) must be unitary within ``UNITARY_ATOL``.
+    """
+    _check_same_dims(ch1, ch2)
+    w1, w2 = (np.sum(np.abs(ch.kraus) ** 2, axis=(1, 2)) / ch.dim_in for ch in (ch1, ch2))
+    if len(w1) != len(w2) or np.any(np.abs(w1 - w2) > 1e-12):
         raise ValueError("the two ensembles must share the same weights")
     out = []
-    for (k1, k2, q) in zip(ch1.kraus, ch2.kraus, w1):
-        out.append((k1 / np.sqrt(q), k2 / np.sqrt(q), float(q)))
+    for k1, k2, q in zip(ch1.kraus, ch2.kraus, w1):
+        v, w = k1 / np.sqrt(q), k2 / np.sqrt(q)
+        if not (is_unitary(v) and is_unitary(w)):
+            raise ValueError(
+                f"both channels must be mixed-unitary: a branch over sqrt(q) is not unitary "
+                f"within {UNITARY_ATOL:.0e}"
+            )
+        out.append((v, w, float(q)))
     return out
 
 

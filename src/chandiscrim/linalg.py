@@ -44,11 +44,11 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
 
 
-def is_unitary(u, atol: float = UNITARY_ATOL) -> bool:
+def is_unitary(u) -> bool:
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return unitarity_defect(u) <= atol
+    return unitarity_defect(u) <= UNITARY_ATOL
 
 
 def ket(dim: int, index: int) -> np.ndarray:
@@ -115,7 +115,7 @@ def trace_norm_hermitian(a) -> float:
     return float(np.abs(hermitian_eig(a).values).sum())
 
 
-def unitary_eigenphases(u, seed: int = 0) -> list[tuple[float, np.ndarray]]:
+def unitary_eigenphases(u) -> list[tuple[float, np.ndarray]]:
     """Eigenphases and orthonormal eigenvectors of a unitary matrix.
 
     Returns ``[(theta_0, v_0), ...]`` with phases in [0, 2*pi), sorted
@@ -123,10 +123,10 @@ def unitary_eigenphases(u, seed: int = 0) -> list[tuple[float, np.ndarray]]:
 
     A unitary is normal, so it shares an eigenbasis with the Hermitian
     combination cos(a)(U+U†)/2 + sin(a)(U-U†)/(2i). We diagonalize that
-    combination for a randomly drawn angle ``a`` and keep the basis if it
-    diagonalizes U itself; a degenerate draw (two distinct eigenphases
-    collapsing onto one eigenvalue of the combination) is retried with a
-    fresh angle.
+    combination for an angle ``a`` drawn from a fixed seed and keep the basis
+    if it diagonalizes U itself; a degenerate draw (two distinct eigenphases
+    collapsing onto one eigenvalue of the combination) is retried with the
+    next angle. The phases do not depend on the angle.
     """
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -137,7 +137,7 @@ def unitary_eigenphases(u, seed: int = 0) -> list[tuple[float, np.ndarray]]:
             f"matrix is not unitary: max|U†U - I| = {defect:.3e} "
             f"exceeds {UNITARY_ATOL:.0e}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     re = (u + u.conj().T) / 2.0
     im = (u - u.conj().T) / 2.0j
     for _ in range(_UNITARY_DIAG_ATTEMPTS):

@@ -203,13 +203,13 @@ def _fixed_starts(probe_class: str, d: int) -> list:
     return [max_entangled(d).amplitudes, ket(d * d, 0)]  # |phi+> and the product probe |0>|0>
 
 
-def _optimize(pairs, probe_class: str, opts, p1, warm_starts=None) -> list[DiscriminationResult]:
+def _optimize(pairs, probe_class: str, opts, p1) -> list[DiscriminationResult]:
     """Search "single" probes, or bipartite ones with dim_b = dim_in, for each channel pair.
 
     The pairs whose Kraus stacks have the same shapes run as see-saw stacks
     of as many pairs as fit under ``_STACK_ENTRIES``. Each search starts from,
-    in order, the ``warm_starts``, the fixed starts of ``probe_class`` and
-    ``opts.restarts`` random ones.
+    in order, the fixed starts of ``probe_class`` and ``opts.restarts``
+    random ones.
     """
     groups: dict[tuple, list[int]] = {}
     for i, (ch1, ch2) in enumerate(pairs):
@@ -220,19 +220,10 @@ def _optimize(pairs, probe_class: str, opts, p1, warm_starts=None) -> list[Discr
     single = probe_class == "single"
     results: list = [None] * len(pairs)
     for ((n1, dim_out, d), (n2, _, _)), members in groups.items():
-        dims = (d,) if single else (d, d)
-        for probe in warm_starts or []:
-            got = (probe.dim,) if single else (probe.dim_a, probe.dim_b)
-            if got != dims:
-                raise ValueError(
-                    f"warm start has dimension{'' if single else 's'} {'x'.join(map(str, got))}, "
-                    f"expected {'x'.join(map(str, dims))}"
-                )
-        starts = [probe.amplitudes for probe in warm_starts or []] + _fixed_starts(probe_class, d)
-        starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d ** len(dims)))
-
-        starts = np.array(starts, dtype=complex)
         dim_b = 1 if single else d
+        starts = _fixed_starts(probe_class, d)
+        starts.extend(_random_starts(np.random.default_rng(opts.seed), opts.restarts, d * dim_b))
+        starts = np.array(starts, dtype=complex)
         per_start = (n1 + n2) * dim_out * dim_b * d * dim_b
         chunk = max(1, _STACK_ENTRIES // (len(starts) * per_start))
         for at in range(0, len(members), chunk):
@@ -273,23 +264,21 @@ def optimize_single(
     ch1: Channel,
     ch2: Channel,
     opts: OptimizerOptions | None = None,
-    warm_starts: list[SinglePureProbe] | None = None,
     p1: float = 0.5,
 ) -> DiscriminationResult:
     """Best success probability found over pure single-system probes, priors (p1, 1 - p1).
 
-    The search always starts from any ``warm_starts`` supplied, the uniform
-    superposition and |0>, so the result is never below those fixed-probe
-    values, and from ``opts.restarts`` random probes.
+    The search always starts from the uniform superposition and |0>, so the
+    result is never below those fixed-probe values, and from
+    ``opts.restarts`` random probes.
     """
-    return _optimize([(ch1, ch2)], "single", opts, p1, warm_starts)[0]
+    return _optimize([(ch1, ch2)], "single", opts, p1)[0]
 
 
 def optimize_entangled(
     ch1: Channel,
     ch2: Channel,
     opts: OptimizerOptions | None = None,
-    warm_starts: list[BipartitePureProbe] | None = None,
     p1: float = 0.5,
 ) -> DiscriminationResult:
     """Best success probability over bipartite pure probes with dim_b = dim_in, priors (p1, 1 - p1).
@@ -298,4 +287,4 @@ def optimize_entangled(
     probe is at most dim_in), so the B side is fixed to dim_in. Starts include
     the maximally entangled probe and the product probe |0>|0>.
     """
-    return _optimize([(ch1, ch2)], "general_entangled", opts, p1, warm_starts)[0]
+    return _optimize([(ch1, ch2)], "general_entangled", opts, p1)[0]

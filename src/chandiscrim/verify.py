@@ -249,7 +249,7 @@ def _criterion_4(s: _Suite, seed: int, scale: float):
     """Unitary mixing with u = diag(1, e^(i pi/3)): two-point hull geometry."""
     r1, r2 = 0.8, 0.2
     u = np.diag([1.0, np.exp(1j * np.pi / 3.0)])
-    closed = gen_dephasing_closed(u, r1, r2, seed=_seed(seed, 4))
+    closed = gen_dephasing_closed(u, r1, r2)
     # chord midpoint at distance cos(pi/6) -> value (1/2)(1 + 0.6 * 1/2)
     s.add(
         "c4.closed",

@@ -5,7 +5,6 @@ from chandiscrim import channels
 from chandiscrim.channels import (
     CPTPError,
     Channel,
-    MixedUnitaryEnsemble,
     apply,
     apply_on_A,
     channel_from_dict,
@@ -24,6 +23,7 @@ from chandiscrim.channels import (
 )
 from chandiscrim.linalg import ket, projector, tensor
 from chandiscrim.probes import max_entangled, uniform_superposition
+from helpers import stinespring_channel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -60,13 +60,6 @@ def loop_choi(kraus, dim_in):
 def loop_tp_residual(kraus, dim_in):
     tp = sum(k.conj().T @ k for k in kraus)
     return float(np.max(np.abs(tp - np.eye(dim_in))))
-
-
-def stinespring_kraus(rng, dim_in, dim_out, branches):
-    """Kraus operators cut from a random isometry C^dim_in -> C^(dim_out * branches)."""
-    a = rng.standard_normal((dim_out * branches, dim_in))
-    v, _ = np.linalg.qr(a + 1j * rng.standard_normal(a.shape))
-    return [v[i * dim_out:(i + 1) * dim_out] for i in range(branches)]
 
 
 def assert_cptp(ch):
@@ -231,33 +224,35 @@ def test_amplitude_damping_plus_state():
 
 def test_single_unitary_ensemble_is_unitary_channel():
     rng = np.random.default_rng(4)
-    ens = MixedUnitaryEnsemble((SX,), (1.0,))
-    ch = make_mixed_unitary(ens)
+    ch = make_mixed_unitary((SX,), (1.0,))
     rho = random_density(2, rng)
     np.testing.assert_allclose(apply(ch, rho), SX @ rho @ SX, atol=1e-12)
 
 
 def test_identity_bitflip_mixture():
-    ens = MixedUnitaryEnsemble((np.eye(2), SX), (0.5, 0.5))
-    out = apply(make_mixed_unitary(ens), projector(ket(2, 0)))
+    out = apply(make_mixed_unitary((np.eye(2), SX), (0.5, 0.5)), projector(ket(2, 0)))
     np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
 
 
 def test_ensemble_validation():
     with pytest.raises(ValueError, match="sum to 1"):
-        MixedUnitaryEnsemble((np.eye(2), SX), (0.5, 0.6))
-    with pytest.raises(ValueError, match="unitary"):
-        MixedUnitaryEnsemble((np.array([[1, 0], [0, 2]]),), (1.0,))
+        make_mixed_unitary((np.eye(2), SX), (0.5, 0.6))
+    with pytest.raises(ValueError, match=r"not unitary within 1e-10 \(residual 3\.000e\+00\)"):
+        make_mixed_unitary((np.array([[1, 0], [0, 2]]),), (1.0,))
     with pytest.raises(ValueError, match="weight"):
-        MixedUnitaryEnsemble((np.eye(2), SX), (0.0, 1.0))
+        make_mixed_unitary((np.eye(2), SX), (0.0, 1.0))
+    with pytest.raises(ValueError, match="a single weight must be 1"):
+        make_mixed_unitary((SX,), (1.5,))
+    with pytest.raises(ValueError, match="need equally many unitaries and weights"):
+        make_mixed_unitary((np.eye(2), SX), (1.0,))
 
 
 def test_qutrit_pair_structure():
     ch1, ch2 = mixed_unitary_pair_d3((0.5, 0.3, 0.2))
     assert_cptp(ch1)
     assert_cptp(ch2)
-    firsts = [k / np.sqrt(q) for k, q in zip(ch1.kraus, ch1.params["weights"])]
-    seconds = [k / np.sqrt(q) for k, q in zip(ch2.kraus, ch2.params["weights"])]
+    firsts = [k / np.sqrt(q) for k, q in zip(ch1.kraus, (0.5, 0.3, 0.2))]
+    seconds = [k / np.sqrt(q) for k, q in zip(ch2.kraus, (0.5, 0.3, 0.2))]
     traces = [np.trace(l.conj().T @ s) for l, s in zip(firsts, seconds)]
     np.testing.assert_allclose(traces, [0.0, 1.0, 0.0], atol=1e-12)
     # the pair-2 product is the diagonal sign matrix
@@ -277,8 +272,8 @@ def test_dimension6_pair_structure():
     ch1, ch2 = mixed_unitary_pair_d6((0.2, 0.5, 0.3))
     assert_cptp(ch1)
     assert_cptp(ch2)
-    firsts = [k / np.sqrt(q) for k, q in zip(ch1.kraus, ch1.params["weights"])]
-    seconds = [k / np.sqrt(q) for k, q in zip(ch2.kraus, ch2.params["weights"])]
+    firsts = [k / np.sqrt(q) for k, q in zip(ch1.kraus, (0.2, 0.5, 0.3))]
+    seconds = [k / np.sqrt(q) for k, q in zip(ch2.kraus, (0.2, 0.5, 0.3))]
     traces = [np.trace(l.conj().T @ s).real for l, s in zip(firsts, seconds)]
     np.testing.assert_allclose(traces, [4.0, 3.0, 3.0], atol=1e-12)
     for u in firsts + seconds:
@@ -343,8 +338,7 @@ def test_apply_validates_states():
 
 
 def test_apply_on_A_identity_channel():
-    ens = MixedUnitaryEnsemble((np.eye(2),), (1.0,))
-    ch = make_mixed_unitary(ens)
+    ch = make_mixed_unitary((np.eye(2),), (1.0,))
     rho = max_entangled(2).density()
     np.testing.assert_allclose(apply_on_A(ch, rho, 2), rho, atol=1e-12)
 
@@ -397,9 +391,8 @@ def test_apply_linearity():
 
 
 def test_choi_identity_and_depolarizing():
-    ens = MixedUnitaryEnsemble((np.eye(2),), (1.0,))
     np.testing.assert_allclose(
-        choi(make_mixed_unitary(ens)), max_entangled(2).density(), atol=1e-12
+        choi(make_mixed_unitary((np.eye(2),), (1.0,))), max_entangled(2).density(), atol=1e-12
     )
     q = 0.3
     expected = q * max_entangled(2).density() + (1 - q) * np.eye(4) / 4
@@ -446,7 +439,7 @@ def test_non_cptp_kraus_rejected_with_residuals():
     good = make_amplitude_damping(0.5)
     scaled = [1.2 * k for k in good.kraus]
     with pytest.raises(CPTPError) as err:
-        Channel(2, 2, tuple(scaled))
+        Channel(scaled)
     assert err.value.tp_residual > 1e-10
 
 
@@ -458,22 +451,30 @@ def test_kraus_arrays_are_immutable():
 
 def test_kraus_is_one_read_only_stack():
     rng = np.random.default_rng(3)
-    ops = stinespring_kraus(rng, 2, 3, 4)
-    ch = Channel(2, 3, ops)
+    ops = list(stinespring_channel(rng, 2, 3, 4).kraus)
+    ch = Channel(ops)
     assert isinstance(ch.kraus, np.ndarray) and ch.kraus.shape == (4, 3, 2)
+    assert (ch.dim_in, ch.dim_out) == (2, 3)
     assert not ch.kraus.flags.writeable
     assert not any(np.shares_memory(ch.kraus, k) for k in ops)
     assert len(ch.kraus) == 4 and all(np.array_equal(k, o) for k, o in zip(ch.kraus, ops))
     # a stack, such as another channel's kraus, builds the same channel
-    again = Channel(2, 3, ch.kraus)
+    again = Channel(ch.kraus)
     assert np.array_equal(again.kraus, ch.kraus) and not np.shares_memory(again.kraus, ch.kraus)
     assert np.array_equal(choi(again), choi(ch))
     rho = random_density(2, rng)
     assert np.array_equal(apply(again, rho), apply(ch, rho))
-    with pytest.raises(ValueError, match="a channel needs at least one Kraus operator"):
-        Channel(2, 2, [])
-    with pytest.raises(ValueError, match=r"Kraus operator of shape \(3, 3\) does not match"):
-        Channel(2, 2, [np.eye(2), np.zeros((3, 3))])
+    # the dimensions are read from the stack and cannot be set
+    with pytest.raises(AttributeError):
+        ch.dim_in = 3
+    with pytest.raises(ValueError, match=r"non-empty \(n, dim_out, dim_in\) array, got shape \(0,"):
+        Channel([])
+    with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+        Channel(np.eye(2))
+    with pytest.raises(ValueError, match=r"got shape \(1, 0, 2\)"):
+        Channel(np.zeros((1, 0, 2)))
+    with pytest.raises(ValueError, match=r"must share one shape, got \[\(2, 2\), \(3, 3\)\]"):
+        Channel([np.eye(2), np.zeros((3, 3))])
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -489,17 +490,16 @@ def test_depolarizing_kraus_equal_loop_build(d):
 def test_choi_matches_loop_form(dim_in, dim_out, branches):
     rng = np.random.default_rng(10 * dim_in + dim_out)
     for _ in range(5):
-        kraus = stinespring_kraus(rng, dim_in, dim_out, branches)
-        ch = Channel(dim_in, dim_out, tuple(kraus))
-        assert np.max(np.abs(choi(ch) - loop_choi(kraus, dim_in))) <= 1e-15
+        ch = stinespring_channel(rng, dim_in, dim_out, branches)
+        assert np.max(np.abs(choi(ch) - loop_choi(ch.kraus, dim_in))) <= 1e-15
 
 
 def test_scaled_kraus_residuals_match_loop_form():
     rng = np.random.default_rng(7)
     for dim_in, dim_out, branches in [(2, 2, 2), (3, 4, 2), (3, 2, 5)]:
-        kraus = [1.05 * k for k in stinespring_kraus(rng, dim_in, dim_out, branches)]
+        kraus = 1.05 * stinespring_channel(rng, dim_in, dim_out, branches).kraus
         with pytest.raises(CPTPError) as err:
-            Channel(dim_in, dim_out, tuple(kraus))
+            Channel(kraus)
         tp_residual = loop_tp_residual(kraus, dim_in)
         choi_min = float(np.linalg.eigvalsh(loop_choi(kraus, dim_in)).min())
         assert tp_residual > 1e-10

@@ -431,6 +431,17 @@ def test_custom_schema_and_cptp_errors(tmp_path):
     assert proc.returncode == 3
     assert "cannot read" in proc.stderr
 
+    # a boolean is not an integer dimension, even where the matrices have a side
+    # of 1: "dim_in": true raised a TypeError traceback, "dim_out": true ran as 1
+    prepare = {"dim_in": True, "dim_out": 2, "kraus": [[[[1, 0]], [[0, 0]]]]}
+    trace = {"dim_in": 2, "dim_out": True, "kraus": [[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]]}
+    for i, ch in enumerate((prepare, trace)):
+        flagged = tmp_path / f"bool-{i}.json"
+        flagged.write_text(json.dumps({"channel1": ch, "channel2": ch}))
+        proc = run_main("custom", str(flagged), "--probe", "single:|0>")
+        assert proc.returncode == 2
+        assert "dim_in and dim_out must be integers" in proc.stderr
+
 
 def test_undecodable_input_files_exit_2(tmp_path, capsys):
     latin1 = tmp_path / "latin1.json"

@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import minimize
 
 from chandiscrim.channels import (
-    Channel,
     apply,
     apply_on_A,
     clock_matrix,
@@ -37,7 +36,7 @@ from chandiscrim.discrimination import (
     mixed_unitary_maxent_bound,
     mixed_unitary_single_bound,
 )
-from chandiscrim.linalg import ket, projector, random_unitary, tensor
+from chandiscrim.linalg import is_unitary, ket, projector, random_unitary, tensor
 from chandiscrim.probes import (
     BipartitePureProbe,
     basis_probe,
@@ -51,6 +50,7 @@ from chandiscrim.probes import (
     uniform_superposition,
     zeta_probe,
 )
+from helpers import stinespring_channel
 
 # --- Helstrom ---
 
@@ -144,12 +144,6 @@ def test_fixed_dimension_checks():
             discrim_fixed_entangled(ch1, make_depolarizing(2, 0.3), max_entangled(2), p1)
 
 
-def _stinespring_channel(rng, dim_in: int, dim_out: int, branches: int) -> Channel:
-    g = rng.standard_normal((dim_out * branches, dim_in))
-    v, _ = np.linalg.qr(g + 1j * rng.standard_normal((dim_out * branches, dim_in)))
-    return Channel(dim_in, dim_out, tuple(np.split(v, branches)))
-
-
 @pytest.mark.parametrize("p1", [0.3, 0.5, 0.8])
 def test_pure_probe_kernel_matches_apply_and_helstrom(p1):
     # the Kraus-branch kernel against evolving the density matrix explicitly,
@@ -159,8 +153,8 @@ def test_pure_probe_kernel_matches_apply_and_helstrom(p1):
         (2, 2, 2, 3), (2, 3, 3, 2), (3, 2, 4, 3), (3, 4, 2, 2), (3, 4, 3, 2),
         (4, 4, 1, 3), (3, 5, 1, 2), (2, 3, 2, 3), (4, 6, 3, 2),
     ]:
-        ch1 = _stinespring_channel(rng, dim_in, dim_out, branches)
-        ch2 = _stinespring_channel(rng, dim_in, dim_out, branches)
+        ch1 = stinespring_channel(rng, dim_in, dim_out, branches)
+        ch2 = stinespring_channel(rng, dim_in, dim_out, branches)
         k1, k2 = np.stack(ch1.kraus), np.stack(ch2.kraus)
         singles = [random_pure(dim_in, rng) for _ in range(5)]
         pairs = [random_bipartite(dim_in, dim_b, rng) for _ in range(5)]
@@ -532,6 +526,25 @@ def test_ensemble_pairs_requires_shared_weights():
     _, ch2 = mixed_unitary_pair_d3((0.2, 0.3, 0.5))
     with pytest.raises(ValueError, match="weights"):
         ensemble_pairs(ch1, ch2)
+
+
+def test_ensemble_pairs_derives_the_weights():
+    for make in (mixed_unitary_pair_d3, mixed_unitary_pair_d6):
+        ch1, ch2 = make((0.5, 0.3, 0.2))
+        pairs = ensemble_pairs(ch1, ch2)
+        np.testing.assert_allclose([q for _, _, q in pairs], [0.5, 0.3, 0.2], rtol=0, atol=1e-15)
+        for v, w, _ in pairs:
+            assert is_unitary(v) and is_unitary(w)
+
+
+def test_ensemble_pairs_rejects_channels_that_are_not_mixed_unitary():
+    # amplitude damping has equal branch norms in both channels, so only the
+    # unitarity of each branch over sqrt(q) can reject it
+    ch1, ch2 = make_amplitude_damping(0.5), make_amplitude_damping(0.5)
+    with pytest.raises(ValueError, match="not unitary within 1e-10"):
+        ensemble_pairs(ch1, ch2)
+    with pytest.raises(ValueError, match="channel dimensions differ"):
+        ensemble_pairs(mixed_unitary_pair_d3()[0], mixed_unitary_pair_d6()[0])
 
 
 # --- global probability bounds ---

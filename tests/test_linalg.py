@@ -152,7 +152,7 @@ def test_unitary_eigenphases_reconstruction():
     rng = np.random.default_rng(23)
     for d in (2, 3, 5):
         u = random_unitary(d, rng)
-        pairs = unitary_eigenphases(u, seed=1)
+        pairs = unitary_eigenphases(u)
         rebuilt = sum(np.exp(1j * t) * projector(v) for t, v in pairs)
         np.testing.assert_allclose(rebuilt, u, atol=1e-7)
         for t, v in pairs:

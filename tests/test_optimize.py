@@ -6,7 +6,7 @@ import pytest
 
 from chandiscrim import cli, optimize
 from chandiscrim.channels import (
-    Channel,
+    apply,
     make_amplitude_damping,
     make_depolarizing,
     make_dephasing,
@@ -21,6 +21,7 @@ from chandiscrim.discrimination import (
     depolarizing_single_closed,
     discrim_fixed_entangled,
     discrim_fixed_single,
+    helstrom,
     helstrom_pure,
 )
 from chandiscrim.linalg import from_pairs
@@ -30,7 +31,14 @@ from chandiscrim.optimize import (
     optimize_pairs,
     optimize_single,
 )
-from chandiscrim.probes import BipartitePureProbe, SinglePureProbe, bloch_qubit
+from chandiscrim.probes import (
+    BipartitePureProbe,
+    SinglePureProbe,
+    basis_probe,
+    max_entangled,
+    uniform_superposition,
+)
+from helpers import stinespring_channel
 
 FAST = OptimizerOptions(restarts=4, seed=11)
 
@@ -95,17 +103,28 @@ def test_same_seed_reproduces_bitwise():
     assert a.optimizer_meta == b.optimizer_meta
 
 
-def test_warm_start_is_never_lost():
-    ch1, ch2 = make_amplitude_damping(0.81), make_amplitude_damping(0.36)
-    warm = bloch_qubit(np.pi, 0.0)
-    fixed = discrim_fixed_single(ch1, ch2, warm).probability
-    res = optimize_single(
-        ch1,
-        ch2,
-        OptimizerOptions(restarts=1, max_iterations=3, step_tolerance=1e-2, seed=0),
-        warm_starts=[warm],
-    )
-    assert res.probability >= fixed - 1e-12
+def test_fixed_starts_are_never_lost():
+    # a search that stops after one step still reports at least the value of each
+    # of its fixed starts: the uniform superposition and |0> for single probes,
+    # |phi+> and |00> for bipartite ones
+    short = OptimizerOptions(restarts=1, max_iterations=1, step_tolerance=1e-2, seed=0)
+    pairs = [
+        (make_amplitude_damping(0.81), make_amplitude_damping(0.36)),
+        (make_dephasing(3, 0.9), make_dephasing(3, 0.2)),
+        (make_erasure(2, 0.9), make_erasure(2, 0.4)),
+    ]
+    for ch1, ch2 in pairs:
+        d = ch1.dim_in
+        for p1 in (0.5, 0.3):
+            res = optimize_single(ch1, ch2, short, p1=p1)
+            for probe in (uniform_superposition(d), basis_probe(d, 0)):
+                fixed = discrim_fixed_single(ch1, ch2, probe, p1).probability
+                assert res.probability >= fixed - 1e-12
+            res = optimize_entangled(ch1, ch2, short, p1=p1)
+            zero = BipartitePureProbe(d, d, np.eye(d * d)[0])
+            for probe in (max_entangled(d), zero):
+                fixed = discrim_fixed_entangled(ch1, ch2, probe, p1).probability
+                assert res.probability >= fixed - 1e-12
 
 
 def test_closed_forms_agree_with_oracle_on_parameter_grids():
@@ -143,29 +162,14 @@ def test_closed_forms_agree_with_oracle_on_parameter_grids():
 
 
 def test_objective_agrees_with_fixed_evaluation():
-    # the optimizer's fast path and the channel-apply path compute the same number
+    # the optimizer's kernel and the channel-apply path compute the same number
+    # for the probe a search reports, here on a channel with dim_out != dim_in
     ch1, ch2 = make_erasure(2, 0.9), make_erasure(2, 0.4)
-    probe = SinglePureProbe(np.array([0.6, 0.8j]))
     res = optimize_single(
-        ch1, ch2,
-        OptimizerOptions(restarts=1, max_iterations=1, step_tolerance=1e-1, seed=0),
-        warm_starts=[probe],
+        ch1, ch2, OptimizerOptions(restarts=1, max_iterations=1, step_tolerance=1e-1, seed=0)
     )
-    fixed = discrim_fixed_single(ch1, ch2, probe).probability
-    assert res.probability == pytest.approx(fixed, abs=1e-12)
-
-
-def test_warm_starts_must_match_the_channel_dimensions():
-    ch1, ch2 = make_dephasing(3, 0.9), make_dephasing(3, 0.2)
-    with pytest.raises(ValueError, match="warm start has dimension 2, expected 3"):
-        optimize_single(ch1, ch2, FAST, warm_starts=[SinglePureProbe(np.array([1.0, 0.0]))])
-    for dim_a, dim_b in [(2, 3), (3, 2)]:
-        amps = np.zeros(dim_a * dim_b)
-        amps[0] = 1.0
-        with pytest.raises(ValueError, match=f"{dim_a}x{dim_b}, expected 3x3"):
-            optimize_entangled(
-                ch1, ch2, FAST, warm_starts=[BipartitePureProbe(dim_a, dim_b, amps)]
-            )
+    rho = SinglePureProbe(from_pairs(res.probe["amplitudes"])).density()
+    assert res.probability == pytest.approx(helstrom(apply(ch1, rho), apply(ch2, rho)), abs=1e-12)
 
 
 def test_pinned_trajectories():
@@ -229,12 +233,6 @@ def _oracle_search(fn, x0, step_tolerance, max_sweeps):
     return fx
 
 
-def _stinespring_channel(rng, dim: int, branches: int) -> Channel:
-    g = rng.standard_normal((dim * branches, dim)) + 1j * rng.standard_normal((dim * branches, dim))
-    v, _ = np.linalg.qr(g)
-    return Channel(dim, dim, tuple(np.split(v, branches)))
-
-
 def _oracle_cases():
     """(label, optimizer, ch1, ch2, opts): every pair verify optimizes, then random pairs."""
     one = OptimizerOptions(restarts=1, seed=5)
@@ -264,7 +262,7 @@ def _oracle_cases():
     rng = np.random.default_rng(8)
     for i in range(8):
         d, b1, b2 = 2 + i % 2, 1 + i % 3, 1 + (i + 1) % 3
-        pair = (_stinespring_channel(rng, d, b1), _stinespring_channel(rng, d, b2))
+        pair = (stinespring_channel(rng, d, d, b1), stinespring_channel(rng, d, d, b2))
         for optimizer in (optimize_single, optimize_entangled):
             cases.append((f"random {i} d={d} r={b1},{b2}", optimizer, *pair, one))
     return cases
@@ -343,7 +341,7 @@ def test_seesaw_steps_never_lower_the_value(monkeypatch, p1):
     opts = OptimizerOptions(restarts=1, step_tolerance=1e-12)
     for i in range(6):
         d, dim_b = 2 + i % 2, 1 if i < 3 else 2 + i % 2
-        ch1, ch2 = _stinespring_channel(rng, d, 1 + i % 3), _stinespring_channel(rng, d, 2)
+        ch1, ch2 = stinespring_channel(rng, d, d, 1 + i % 3), stinespring_channel(rng, d, d, 2)
         start = rng.standard_normal(d * dim_b) + 1j * rng.standard_normal(d * dim_b)
         calls.clear()
         starts = (start / np.linalg.norm(start))[None, None]  # one pair, one start
@@ -363,7 +361,7 @@ def test_reported_probability_is_the_fixed_probe_value():
     ch1, ch2 = make_amplitude_damping(0.3), make_amplitude_damping(0.1)
     d3 = (make_dephasing(3, 0.9), make_dephasing(3, 0.2))
     rng = np.random.default_rng(6)
-    random = (_stinespring_channel(rng, 3, 2), _stinespring_channel(rng, 3, 3))
+    random = (stinespring_channel(rng, 3, 3, 2), stinespring_channel(rng, 3, 3, 3))
     for pair in [(ch1, ch2), d3, random]:
         for p1 in (0.5, 0.3):
             for opts in (FAST, OptimizerOptions(restarts=1, max_iterations=1, seed=2)):
@@ -440,7 +438,7 @@ def _pair_lists():
     ]
     rng = np.random.default_rng(21)
     random = {
-        d: [(_stinespring_channel(rng, d, 2), _stinespring_channel(rng, d, 3)) for _ in range(4)]
+        d: [(stinespring_channel(rng, d, d, 2), stinespring_channel(rng, d, d, 3)) for _ in range(4)]
         for d in (2, 3)
     }
     mixed = [
