@@ -341,6 +341,46 @@ def test_sweep_with_a_ranged_dimension_is_pinned():
     ]
 
 
+# The stdout of these requests, one JSON object each, printed with indent=2.
+EVAL_PINS = [
+    (
+        "eval dephasing --d 3 --r1 0.9 --r2 0.2 --probe maxent",
+        '{"family": "dephasing", "params": {"d": 3, "r1": 0.9, "r2": 0.2}, "p1": 0.5, "probe_class": "max_entangled", "method": "closed_form", "probability": 0.85, "probe": {"dims": [3, 3], "amplitudes": [[0.5773502691896258, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5773502691896258, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5773502691896258, 0.0]]}, "optimizer_meta": null}',
+    ),
+    (
+        "eval depolarizing --d 3 --q1 0.9 --q2 0.3 --probe maxent --p1 0.3",
+        '{"family": "depolarizing", "params": {"d": 3, "q1": 0.9, "q2": 0.3}, "p1": 0.3, "probe_class": "max_entangled", "method": "fixed_probe", "probability": 0.708888888888889, "probe": {"dims": [3, 3], "amplitudes": [[0.5773502691896258, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5773502691896258, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5773502691896258, 0.0]]}, "optimizer_meta": null}',
+    ),
+    (
+        "eval amplitude-damping --mu1 0.36 --mu2 0.09 --probe nonmax:g=.3,z=1.1",
+        '{"family": "amplitude-damping", "params": {"mu1": 0.36, "mu2": 0.09}, "p1": 0.5, "probe_class": "nonmax", "method": "fixed_probe", "probability": 0.6306620045317219, "probe": {"dims": [2, 2], "amplitudes": [[0.5477225575051661, 0.0], [0.0, 0.0], [0.0, 0.0], [0.37950574298767725, 0.745637573516364]]}, "optimizer_meta": null}',
+    ),
+    (
+        "eval depolarizing --q1 0.9 --q2 0.3 --probe schmidt:p=.2",
+        '{"family": "depolarizing", "params": {"d": 2, "q1": 0.9, "q2": 0.3}, "p1": 0.5, "probe_class": "schmidt", "method": "fixed_probe", "probability": 0.703160056179763, "probe": {"dims": [2, 2], "amplitudes": [[0.4472135954999579, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8944271909999159, 0.0]]}, "optimizer_meta": null}',
+    ),
+    (
+        "eval mixed-unitary-d3 --probe zeta:c1=0.5,0,c2=0,0.5",
+        '{"family": "mixed-unitary-d3", "params": {"d": 3, "weights": [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]}, "p1": 0.5, "probe_class": "zeta", "method": "fixed_probe", "probability": 1.0, "probe": {"dims": [3, 3], "amplitudes": [[0.7071067811865476, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5000000000000001, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5000000000000001]]}, "optimizer_meta": null}',
+    ),
+    (
+        "eval amplitude-damping --mu1 0.36 --mu2 0.09 --probe product:|1> --p1 0.4",
+        '{"family": "amplitude-damping", "params": {"mu1": 0.36, "mu2": 0.09}, "p1": 0.4, "probe_class": "product", "method": "fixed_probe", "probability": 0.69, "probe": {"dims": [2, 2], "amplitudes": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}, "optimizer_meta": null}',
+    ),
+    (
+        "eval amplitude-damping --mu1 0.04 --mu2 0.01 --probe optimize-ent --restarts 2",
+        '{"family": "amplitude-damping", "params": {"mu1": 0.04, "mu2": 0.01}, "p1": 0.5, "probe_class": "general_entangled", "method": "optimizer", "probability": 0.5294117647058824, "probe": {"dims": [2, 2], "amplitudes": [[0.6416889496996149, 7.858423182978603e-17], [-1.1102230246251565e-16, -1.4741208170282603e-32], [3.7798611801198003e-17, -3.6932771895700136e-32], [0.7669649873582268, 9.392612168263428e-17]]}, "optimizer_meta": {"restarts": 4, "iterations": 5, "final_step": 0.0, "evaluations": 86, "restart_values": [0.5294117647058824, 0.5294117647058824, 0.5294117647058824, 0.5294117647058824]}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("command, pinned", EVAL_PINS)
+def test_eval_stdout_is_pinned(command, pinned):
+    proc = run_main(*command.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps(json.loads(pinned), indent=2) + "\n"
+
+
 def _one_point_args(family: str, kind: str) -> dict:
     """Valid parameters for one family, plus the probe parameter of its nonmax form."""
     values = {

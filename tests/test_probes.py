@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,53 @@ def test_product_probe_layout():
     expected[3] = 1.0
     np.testing.assert_allclose(p.amplitudes, expected)
     assert (p.dim_a, p.dim_b) == (2, 3)
+
+
+# to_dict() of every constructor at fixed arguments, as JSON text.
+TO_DICT_PINS = [
+    (
+        lambda: bloch_qubit(1.1, 0.4),
+        '{"dims": [2], "amplitudes": [[0.8525245220595057, 0.0], [0.48142681863148656, 0.20354399423607944]]}',
+    ),
+    (
+        lambda: uniform_superposition(3),
+        '{"dims": [3], "amplitudes": [[0.5773502691896258, 0.0], [0.5773502691896258, 0.0], [0.5773502691896258, 0.0]]}',
+    ),
+    (
+        lambda: basis_probe(3, 2),
+        '{"dims": [3], "amplitudes": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}',
+    ),
+    (
+        lambda: max_entangled(3),
+        '{"dims": [3, 3], "amplitudes": [[0.5773502691896258, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5773502691896258, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5773502691896258, 0.0]]}',
+    ),
+    (
+        lambda: nonmax_qubit(0.3, 1.1),
+        '{"dims": [2, 2], "amplitudes": [[0.5477225575051661, 0.0], [0.0, 0.0], [0.0, 0.0], [0.37950574298767725, 0.745637573516364]]}',
+    ),
+    (
+        lambda: schmidt_pair(0.2),
+        '{"dims": [2, 2], "amplitudes": [[0.4472135954999579, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8944271909999159, 0.0]]}',
+    ),
+    (
+        lambda: zeta_probe(0.5, 0.5j),
+        '{"dims": [3, 3], "amplitudes": [[0.7071067811865476, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5000000000000001, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5000000000000001]]}',
+    ),
+    (
+        lambda: random_pure(3, 7),
+        '{"dims": [3], "amplitudes": [[0.000839417634430953, -0.6077116239092439], [0.20385447949786673, -0.31025292302965385], [-0.18706297768194088, -0.6766681571232681]]}',
+    ),
+    (
+        lambda: random_bipartite(2, 3, 7),
+        '{"dims": [2, 3], "amplitudes": [[0.000553359692385433, 0.027054387349214486], [0.13438465840999783, 0.6028688142818238], [-0.12331538859909008, -0.221409181252856], [-0.4006147875287845, -0.2791081271361796], [-0.20452448817775276, 0.22034557281755074], [-0.44607221472847125, 0.1605384270591695]]}',
+    ),
+    (
+        lambda: product_probe(bloch_qubit(1.1, 0.4), basis_probe(3, 1)),
+        '{"dims": [2, 3], "amplitudes": [[0.0, 0.0], [0.8525245220595057, 0.0], [0.0, 0.0], [0.0, 0.0], [0.48142681863148656, 0.20354399423607944], [0.0, 0.0]]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("make, pinned", TO_DICT_PINS)
+def test_to_dict_bytes_are_pinned(make, pinned):
+    assert json.dumps(make().to_dict()) == pinned
