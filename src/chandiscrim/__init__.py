@@ -58,8 +58,7 @@ from .linalg import (
 )
 from .optimize import OptimizerOptions, optimize_entangled, optimize_pairs, optimize_single
 from .probes import (
-    BipartitePureProbe,
-    SinglePureProbe,
+    PureProbe,
     basis_probe,
     bloch_qubit,
     max_entangled,

@@ -30,8 +30,8 @@ from .channels import (
 )
 from .linalg import UNITARY_ATOL, as_complex, hermitian_eig, is_unitary, unitary_eigenphases
 from .probes import (
-    BipartitePureProbe,
-    SinglePureProbe,
+    PureProbe,
+    _amplitudes,
     basis_probe,
     bloch_qubit,
     max_entangled,
@@ -74,8 +74,8 @@ def pure_difference(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) 
     """The differences p1 rho1 - (1 - p1) rho2 of a stack of pure probes through two channels.
 
     ``k1`` and ``k2`` have shape (n_kraus, dim_out, dim_in). ``psi`` holds m
-    probes: single-system probes as an (m, dim_in) array, or bipartite probes
-    reshaped to (m, dim_in, dim_b). Returns m D x D matrices, D = dim_out *
+    probes: single-system probes as an (m, dim_in) array, or the coefficient
+    matrices of bipartite probes as an (m, dim_in, dim_b) array. Returns m D x D matrices, D = dim_out *
     dim_b. Branch i of a channel maps a probe to (K_i (x) I)|psi>, the
     flattening of K_i @ psi; with the branches as the rows of B the evolved
     state is B^T B*.
@@ -123,19 +123,18 @@ def _fixed_probe_value(ch1: Channel, ch2: Channel, psi: np.ndarray, p1: float) -
 
 
 def discrim_fixed_single(
-    ch1: Channel, ch2: Channel, probe: SinglePureProbe, p1: float = 0.5
+    ch1: Channel, ch2: Channel, probe: PureProbe, p1: float = 0.5
 ) -> DiscriminationResult:
-    """Helstrom probability for a fixed single-system probe."""
-    p = _fixed_probe_value(ch1, ch2, probe.amplitudes, p1)
+    """Helstrom probability for a fixed single-system probe (a vector)."""
+    p = _fixed_probe_value(ch1, ch2, _amplitudes(probe, 1), p1)
     return DiscriminationResult(p, probe_class="single", probe=probe.to_dict())
 
 
 def discrim_fixed_entangled(
-    ch1: Channel, ch2: Channel, probe: BipartitePureProbe, p1: float = 0.5
+    ch1: Channel, ch2: Channel, probe: PureProbe, p1: float = 0.5
 ) -> DiscriminationResult:
-    """Helstrom probability for a fixed bipartite probe, channel acting on A."""
-    psi = probe.amplitudes.reshape(probe.dim_a, probe.dim_b)
-    p = _fixed_probe_value(ch1, ch2, psi, p1)
+    """Helstrom probability for a fixed bipartite probe (a matrix), channel acting on A."""
+    p = _fixed_probe_value(ch1, ch2, _amplitudes(probe, 2), p1)
     return DiscriminationResult(p, probe_class="general_entangled", probe=probe.to_dict())
 
 
@@ -284,7 +283,7 @@ def hull_nearest_weights(phases: Sequence[float]) -> np.ndarray:
     raise ValueError("could not decompose the nearest hull point into convex weights")
 
 
-def gen_dephasing_optimal_probe(u) -> SinglePureProbe:
+def gen_dephasing_optimal_probe(u) -> PureProbe:
     """A single-system probe attaining the generalized-dephasing optimum.
 
     Mixes eigenvectors of the unitary with amplitudes sqrt(w_k), where the
@@ -294,7 +293,7 @@ def gen_dephasing_optimal_probe(u) -> SinglePureProbe:
     eig = unitary_eigenphases(u)
     weights = hull_nearest_weights([theta for theta, _ in eig])
     v = sum(np.sqrt(w) * vec for w, (_, vec) in zip(weights, eig))
-    return SinglePureProbe(v / np.linalg.norm(v))
+    return PureProbe(v / np.linalg.norm(v))
 
 
 def _ordered_mu(mu1: float, mu2: float) -> tuple[float, float]:
@@ -373,7 +372,7 @@ def erasure_closed(eps1: float, eps2: float) -> float:
 
 
 def mixed_unitary_single_bound(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray, float]], probe: SinglePureProbe
+    pairs: Iterable[tuple[np.ndarray, np.ndarray, float]], probe: PureProbe
 ) -> float:
     """Upper bound 2 sum_k q_k sqrt(1 - |<d| V_k† W_k |d>|^2) on the trace norm.
 
@@ -381,12 +380,12 @@ def mixed_unitary_single_bound(
     separates every unitary pair at once. Returns a trace-norm-scale value,
     not a probability.
     """
-    d = probe.amplitudes
+    d = _amplitudes(probe, 1)
     total = 0.0
     for v, w, q in pairs:
         v = as_complex(v)
         w = as_complex(w)
-        if v.shape != w.shape or v.shape[0] != probe.dim:
+        if v.shape != w.shape or v.shape[0] != d.size:
             raise ValueError("unitary pair dimensions must match the probe")
         overlap = abs(np.vdot(d, v.conj().T @ w @ d)) ** 2
         total += float(q) * np.sqrt(max(0.0, 1.0 - overlap))

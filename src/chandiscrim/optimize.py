@@ -60,8 +60,7 @@ from .discrimination import (
 )
 from .linalg import ket
 from .probes import (
-    BipartitePureProbe,
-    SinglePureProbe,
+    PureProbe,
     basis_probe,
     max_entangled,
     uniform_superposition,
@@ -200,7 +199,7 @@ def _fixed_starts(probe_class: str, d: int) -> list:
     """The amplitude vectors every search of ``probe_class`` on input dimension d starts from."""
     if probe_class == "single":
         return [uniform_superposition(d).amplitudes, basis_probe(d, 0).amplitudes]
-    return [max_entangled(d).amplitudes, ket(d * d, 0)]  # |phi+> and the product probe |0>|0>
+    return [max_entangled(d).amplitudes.reshape(-1), ket(d * d, 0)]  # |phi+> and |0>|0>
 
 
 def _optimize(pairs, probe_class: str, opts, p1) -> list[DiscriminationResult]:
@@ -235,7 +234,7 @@ def _optimize(pairs, probe_class: str, opts, p1) -> list[DiscriminationResult]:
                 k2 = np.stack([pairs[i][1].kraus for i in part])
             each = np.broadcast_to(starts, (len(part), *starts.shape))  # the same starts per pair
             for i, (psi, value, meta) in zip(part, _seesaw(k1, k2, p1, each, dim_b, opts)):
-                probe = SinglePureProbe(psi) if single else BipartitePureProbe(d, d, psi)
+                probe = PureProbe(psi if single else psi.reshape(d, d))
                 results[i] = DiscriminationResult(value, probe_class, probe.to_dict(), "optimizer", meta)
     return results
 

@@ -12,7 +12,7 @@ from chandiscrim.channels import channel_to_dict, make_amplitude_damping, mixed_
 from chandiscrim.cli import main
 from chandiscrim.discrimination import FAMILIES, discrim_fixed_entangled, discrim_fixed_single
 from chandiscrim.linalg import from_pairs, to_pairs
-from chandiscrim.probes import BipartitePureProbe, SinglePureProbe
+from chandiscrim.probes import PureProbe
 
 
 def run_cli(*args):
@@ -425,10 +425,11 @@ def test_eval_and_one_point_sweep_agree(family, kind, capsys):
     v["u"] = np.diag(np.exp(1j * np.array([0.0, 1.0, 2.5])))
     ch1, ch2, _ = fam.make(v)
     dims, amplitudes = payload["probe"]["dims"], from_pairs(payload["probe"]["amplitudes"])
+    probe = PureProbe(amplitudes.reshape(dims))
     if len(dims) == 1:
-        fixed = discrim_fixed_single(ch1, ch2, SinglePureProbe(amplitudes))
+        fixed = discrim_fixed_single(ch1, ch2, probe)
     else:
-        fixed = discrim_fixed_entangled(ch1, ch2, BipartitePureProbe(*dims, amplitudes))
+        fixed = discrim_fixed_entangled(ch1, ch2, probe)
     assert payload["probability"] == pytest.approx(fixed.probability, abs=1e-8)
 
 

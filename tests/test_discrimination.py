@@ -38,7 +38,7 @@ from chandiscrim.discrimination import (
 )
 from chandiscrim.linalg import is_unitary, ket, projector, random_unitary, tensor
 from chandiscrim.probes import (
-    BipartitePureProbe,
+    PureProbe,
     basis_probe,
     bloch_qubit,
     max_entangled,
@@ -144,6 +144,20 @@ def test_fixed_dimension_checks():
             discrim_fixed_entangled(ch1, make_depolarizing(2, 0.3), max_entangled(2), p1)
 
 
+def test_fixed_evaluators_check_the_probe_arity():
+    # a flattened two-qubit probe has the length of a d = 4 input, and a
+    # qubit vector the row count of a qubit coefficient matrix
+    ch1, ch2 = make_depolarizing(4, 0.9), make_depolarizing(4, 0.3)
+    with pytest.raises(ValueError, match="single-system probe"):
+        discrim_fixed_single(ch1, ch2, max_entangled(2))
+    ch1, ch2 = make_depolarizing(2, 0.9), make_depolarizing(2, 0.3)
+    with pytest.raises(ValueError, match="bipartite probe"):
+        discrim_fixed_entangled(ch1, ch2, basis_probe(2, 0))
+    pairs = ensemble_pairs(*mixed_unitary_pair_d3())
+    with pytest.raises(ValueError, match="single-system probe"):
+        mixed_unitary_single_bound(pairs, max_entangled(3))
+
+
 @pytest.mark.parametrize("p1", [0.3, 0.5, 0.8])
 def test_pure_probe_kernel_matches_apply_and_helstrom(p1):
     # the Kraus-branch kernel against evolving the density matrix explicitly,
@@ -170,7 +184,7 @@ def test_pure_probe_kernel_matches_apply_and_helstrom(p1):
         stacks = [
             (np.stack([s.amplitudes for s in singles]), single_refs),
             (np.stack([s.amplitudes.reshape(dim_in, 1) for s in singles]), single_refs),
-            (np.stack([pr.amplitudes.reshape(dim_in, dim_b) for pr in pairs]), pair_refs),
+            (np.stack([pr.amplitudes for pr in pairs]), pair_refs),
         ]
         for psi, refs in stacks:
             values = helstrom_pure(k1, k2, psi, p1)
@@ -235,10 +249,10 @@ def test_maxent_probes_are_equivalent():
         (make_amplitude_damping(0.81), make_amplitude_damping(0.36), 0.65),
     ]
     for ch1, ch2, expected in cases:
-        base = max_entangled(2).amplitudes
+        base = max_entangled(2).amplitudes.reshape(-1)
         for _ in range(50):
             u = tensor(random_unitary(2, rng), random_unitary(2, rng))
-            probe = BipartitePureProbe(2, 2, u @ base)
+            probe = PureProbe((u @ base).reshape(2, 2))
             value = discrim_fixed_entangled(ch1, ch2, probe).probability
             assert value == pytest.approx(expected, abs=1e-9)
 

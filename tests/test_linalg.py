@@ -30,7 +30,7 @@ def test_tensor_basis_projectors():
 
 
 def test_tensor_sigma_z_on_phi_plus():
-    phi = max_entangled(2).amplitudes
+    phi = max_entangled(2).amplitudes.reshape(-1)
     out = tensor(SZ, np.eye(2)) @ phi
     np.testing.assert_allclose(out, np.array([1, 0, 0, -1]) / np.sqrt(2), atol=1e-15)
 

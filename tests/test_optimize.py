@@ -32,8 +32,7 @@ from chandiscrim.optimize import (
     optimize_single,
 )
 from chandiscrim.probes import (
-    BipartitePureProbe,
-    SinglePureProbe,
+    PureProbe,
     basis_probe,
     max_entangled,
     uniform_superposition,
@@ -121,7 +120,7 @@ def test_fixed_starts_are_never_lost():
                 fixed = discrim_fixed_single(ch1, ch2, probe, p1).probability
                 assert res.probability >= fixed - 1e-12
             res = optimize_entangled(ch1, ch2, short, p1=p1)
-            zero = BipartitePureProbe(d, d, np.eye(d * d)[0])
+            zero = PureProbe(np.eye(d * d)[0].reshape(d, d))
             for probe in (max_entangled(d), zero):
                 fixed = discrim_fixed_entangled(ch1, ch2, probe, p1).probability
                 assert res.probability >= fixed - 1e-12
@@ -168,7 +167,7 @@ def test_objective_agrees_with_fixed_evaluation():
     res = optimize_single(
         ch1, ch2, OptimizerOptions(restarts=1, max_iterations=1, step_tolerance=1e-1, seed=0)
     )
-    rho = SinglePureProbe(from_pairs(res.probe["amplitudes"])).density()
+    rho = PureProbe(from_pairs(res.probe["amplitudes"])).density()
     assert res.probability == pytest.approx(helstrom(apply(ch1, rho), apply(ch2, rho)), abs=1e-12)
 
 
@@ -366,10 +365,10 @@ def test_reported_probability_is_the_fixed_probe_value():
         for p1 in (0.5, 0.3):
             for opts in (FAST, OptimizerOptions(restarts=1, max_iterations=1, seed=2)):
                 res = optimize_single(*pair, opts, p1=p1)
-                probe = SinglePureProbe(from_pairs(res.probe["amplitudes"]))
+                probe = PureProbe(from_pairs(res.probe["amplitudes"]))
                 assert discrim_fixed_single(*pair, probe, p1).probability == res.probability
                 res = optimize_entangled(*pair, opts, p1=p1)
-                probe = BipartitePureProbe(*res.probe["dims"], from_pairs(res.probe["amplitudes"]))
+                probe = PureProbe(from_pairs(res.probe["amplitudes"]).reshape(res.probe["dims"]))
                 assert discrim_fixed_entangled(*pair, probe, p1).probability == res.probability
                 assert max(res.optimizer_meta["restart_values"]) == res.probability
 

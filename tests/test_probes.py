@@ -5,8 +5,7 @@ import pytest
 
 from chandiscrim.linalg import partial_trace
 from chandiscrim.probes import (
-    BipartitePureProbe,
-    SinglePureProbe,
+    PureProbe,
     basis_probe,
     bloch_qubit,
     max_entangled,
@@ -42,23 +41,23 @@ def test_uniform_superposition():
 
 def test_max_entangled():
     p2 = max_entangled(2)
-    np.testing.assert_allclose(p2.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    np.testing.assert_allclose(p2.amplitudes, np.eye(2) / np.sqrt(2))
     p3 = max_entangled(3)
     expected = np.zeros(9)
     expected[[0, 4, 8]] = 1 / np.sqrt(3)
-    np.testing.assert_allclose(p3.amplitudes, expected)
+    np.testing.assert_allclose(p3.amplitudes.reshape(-1), expected)
     np.testing.assert_allclose(
         partial_trace(p3.density(), 3, 3, "B"), np.eye(3) / 3, atol=1e-15
     )
 
 
 def test_nonmax_qubit():
-    np.testing.assert_allclose(nonmax_qubit(1.0, 0.7).amplitudes, [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(nonmax_qubit(1.0, 0.7).amplitudes, [[1, 0], [0, 0]], atol=1e-15)
     np.testing.assert_allclose(
         nonmax_qubit(0.5, 0.0).amplitudes, max_entangled(2).amplitudes, atol=1e-15
     )
     v = nonmax_qubit(0.3, 0.0).amplitudes
-    np.testing.assert_allclose(v, [np.sqrt(0.3), 0, 0, np.sqrt(0.7)], atol=1e-15)
+    np.testing.assert_allclose(v, np.diag([np.sqrt(0.3), np.sqrt(0.7)]), atol=1e-15)
     with pytest.raises(ValueError):
         nonmax_qubit(1.2, 0.0)
 
@@ -68,7 +67,7 @@ def test_schmidt_pair():
         schmidt_pair(0.5).amplitudes, max_entangled(2).amplitudes, atol=1e-15
     )
     v = schmidt_pair(0.1).amplitudes
-    np.testing.assert_allclose(v, [np.sqrt(0.1), 0, 0, np.sqrt(0.9)], atol=1e-15)
+    np.testing.assert_allclose(v, np.diag([np.sqrt(0.1), np.sqrt(0.9)]), atol=1e-15)
     np.testing.assert_allclose(
         partial_trace(schmidt_pair(0.1).density(), 2, 2, "B"),
         np.diag([0.1, 0.9]),
@@ -84,7 +83,7 @@ def test_zeta_probe():
     expected = np.zeros(9)
     expected[0] = 1 / np.sqrt(2)
     expected[4] = expected[8] = 0.5
-    np.testing.assert_allclose(p.amplitudes, expected, atol=1e-15)
+    np.testing.assert_allclose(p.amplitudes.reshape(-1), expected, atol=1e-15)
     # Schmidt spectrum is (1/2, |c1|^2, |c2|^2)
     np.testing.assert_allclose(
         partial_trace(p.density(), 3, 3, "A"), np.diag([0.5, 0.25, 0.25]), atol=1e-12
@@ -117,14 +116,31 @@ def test_every_constructor_is_normalized():
 
 def test_direct_construction_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
-        SinglePureProbe(np.array([1.0, 1.0]))
+        PureProbe(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        PureProbe(np.ones((2, 3)))
     # a non-finite norm is not within NORM_ATOL of 1 either
     with pytest.raises(ValueError, match="normalized"):
-        SinglePureProbe(np.array([np.nan, 1.0]))
+        PureProbe(np.array([np.nan, 1.0]))
     with pytest.raises(ValueError, match="normalized"):
-        SinglePureProbe(np.array([np.inf, 0.0]))
-    with pytest.raises(ValueError, match="match"):
-        BipartitePureProbe(2, 3, np.zeros(4))
+        PureProbe(np.array([np.inf, 0.0]))
+
+
+def test_direct_construction_rejects_other_shapes():
+    for bad in (np.array(1.0), np.zeros(0), np.zeros((0, 2)), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match="vector or a matrix"):
+            PureProbe(bad)
+
+
+def test_shape_gives_the_dims():
+    assert PureProbe(np.eye(2, 3) / np.sqrt(2)).to_dict()["dims"] == [2, 3]
+    assert PureProbe(np.ones(4) / 2).to_dict()["dims"] == [4]
+    probe = PureProbe(np.array([[0.6, 0.0], [0.0, 0.8j]]))
+    np.testing.assert_allclose(
+        probe.density(), np.outer([0.6, 0, 0, 0.8j], np.conj([0.6, 0, 0, 0.8j])), atol=1e-15
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        probe.amplitudes[0, 0] = 1.0
 
 
 def test_random_pure_is_deterministic_per_seed():
@@ -164,8 +180,12 @@ def test_product_probe_layout():
     p = product_probe(basis_probe(2, 1), basis_probe(3, 0))
     expected = np.zeros(6)
     expected[3] = 1.0
-    np.testing.assert_allclose(p.amplitudes, expected)
-    assert (p.dim_a, p.dim_b) == (2, 3)
+    np.testing.assert_allclose(p.amplitudes.reshape(-1), expected)
+    assert p.amplitudes.shape == (2, 3)
+    with pytest.raises(ValueError, match="single-system"):
+        product_probe(max_entangled(2), basis_probe(2, 0))
+    with pytest.raises(ValueError, match="single-system"):
+        product_probe(basis_probe(2, 0), max_entangled(2))
 
 
 # to_dict() of every constructor at fixed arguments, as JSON text.
