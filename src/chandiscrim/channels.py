@@ -71,6 +71,8 @@ class Channel:
                 f"Kraus operators must stack to a non-empty (n, dim_out, dim_in) array, "
                 f"got shape {stack.shape}"
             )
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operators must have finite entries")
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
 
@@ -115,7 +117,7 @@ def _validate_state(rho, dim: int) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected ({dim}, {dim})")
     defect = hermiticity_defect(rho)
-    if defect > HERMITIAN_ATOL:
+    if not defect <= HERMITIAN_ATOL:  # also rejects nan
         raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > STATE_TRACE_ATOL:
@@ -220,9 +222,14 @@ def make_mixed_unitary(unitaries: Sequence, weights: Sequence[float]) -> Channel
         raise ValueError("a single weight must be 1")
     if abs(sum(ws) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {sum(ws)!r}")
-    dim = us[0].shape[0]
+    shape = us[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or any(u.shape != shape for u in us):
+        raise ValueError(
+            f"ensemble members must be square matrices of one size, got shapes "
+            f"{[u.shape for u in us]}"
+        )
     for u in us:
-        if u.shape != (dim, dim) or not is_unitary(u):
+        if not is_unitary(u):
             raise ValueError(
                 f"ensemble member is not unitary within {UNITARY_ATOL:.0e} "
                 f"(residual {unitarity_defect(u):.3e})"

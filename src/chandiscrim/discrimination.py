@@ -52,11 +52,20 @@ class DiscriminationResult:
     optimizer_meta: dict | None = None
 
 
+def _check_unit(name: str, x) -> float:
+    x = float(x)
+    if not 0.0 <= x <= 1.0:  # also rejects nan
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+    return x
+
+
 def _check_prior(p1) -> float:
-    p1 = float(p1)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    return p1
+    return _check_unit("p1", p1)
+
+
+def _check_noise(name: str, x1, x2) -> tuple[float, float]:
+    """Both noise parameters of a closed form (q1 and q2 for ``name`` "q"), each in [0, 1]."""
+    return _check_unit(f"{name}1", x1), _check_unit(f"{name}2", x2)
 
 
 def helstrom(rho1, rho2, p1: float = 0.5) -> float:
@@ -148,6 +157,7 @@ def depolarizing_single_closed(d: int, q1: float, q2: float) -> float:
     """Single-probe value (1/2)(1 + |q1-q2| (1 - 1/d)); the same for every pure probe."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
+    q1, q2 = _check_noise("q", q1, q2)
     return 0.5 * (1.0 + abs(q1 - q2) * (1.0 - 1.0 / d))
 
 
@@ -155,6 +165,7 @@ def depolarizing_maxent_closed(d: int, q1: float, q2: float) -> float:
     """Maximally entangled probe value (1/2)(1 + |q1-q2| (1 - 1/d^2))."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
+    q1, q2 = _check_noise("q", q1, q2)
     return 0.5 * (1.0 + abs(q1 - q2) * (1.0 - 1.0 / d**2))
 
 
@@ -165,15 +176,15 @@ def depolarizing_nonmax_closed(g: float, q1: float, q2: float) -> float:
     the entanglement of the probe and maximal at g = 1/2, where it reproduces
     the maximally entangled value.
     """
-    g = float(g)
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"g must lie in [0, 1], got {g!r}")
+    g = _check_unit("g", g)
+    q1, q2 = _check_noise("q", q1, q2)
     norm = 0.5 + 0.5 * np.sqrt(1.0 + 12.0 * g * (1.0 - g))
     return 0.5 * (1.0 + 0.5 * abs(q1 - q2) * norm)
 
 
 def dephasing_closed(r1: float, r2: float) -> float:
     """Optimal value (1/2)(1 + |r1-r2|), reached by the uniform superposition probe."""
+    r1, r2 = _check_noise("r", r1, r2)
     return 0.5 * (1.0 + abs(r1 - r2))
 
 
@@ -210,6 +221,7 @@ def gen_dephasing_closed(u, r1: float, r2: float) -> float:
     origin to the convex hull of the eigenphase points of U; entangled probes
     cannot improve on it.
     """
+    r1, r2 = _check_noise("r", r1, r2)
     phases = [theta for theta, _ in unitary_eigenphases(u)]
     m = hull_min_distance(phases)
     return 0.5 * (1.0 + abs(r1 - r2) * np.sqrt(max(0.0, 1.0 - m * m)))
@@ -222,6 +234,7 @@ def gen_dephasing_maxent_closed(u, r1: float, r2: float) -> float:
     strictly below it, since |Tr U|/d is the centroid of the eigenphase
     points, not their hull point nearest the origin.
     """
+    r1, r2 = _check_noise("r", r1, r2)
     u = as_complex(u)
     overlap = abs(np.trace(u)) ** 2 / u.shape[0] ** 2
     return 0.5 * (1.0 + abs(r1 - r2) * np.sqrt(max(0.0, 1.0 - overlap)))
@@ -363,6 +376,7 @@ def ad_nonmax_closed(p: float, mu1: float, mu2: float) -> float:
 
 def erasure_closed(eps1: float, eps2: float) -> float:
     """Value (1/2)(1 + |eps1 - eps2|), independent of the probe, entangled or not."""
+    eps1, eps2 = _check_noise("eps", eps1, eps2)
     return 0.5 * (1.0 + abs(eps1 - eps2))
 
 

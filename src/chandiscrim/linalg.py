@@ -101,7 +101,7 @@ def hermitian_eig(a) -> EigenDecomposition:
     """
     a = as_complex(a)
     defect = hermiticity_defect(a)
-    if defect > HERMITIAN_ATOL:
+    if not defect <= HERMITIAN_ATOL:  # also rejects nan
         raise ValueError(
             f"matrix is not Hermitian: max|A - A†| = {defect:.3e} "
             f"exceeds {HERMITIAN_ATOL:.0e}"

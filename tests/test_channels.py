@@ -247,6 +247,19 @@ def test_ensemble_validation():
         make_mixed_unitary((np.eye(2), SX), (1.0,))
 
 
+def test_ensemble_members_must_be_square_matrices_of_one_size():
+    # a vector used to fail with an IndexError, and a unitary of the wrong size
+    # with a "not unitary ... residual 0.000e+00" message
+    for unitaries, weights in [
+        ([np.ones(2) / np.sqrt(2)], [1.0]),
+        ([np.eye(2), np.eye(3)], [0.5, 0.5]),
+        ([np.ones((2, 3)) / np.sqrt(2)], [1.0]),
+        ([np.zeros((0, 0))], [1.0]),
+    ]:
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            make_mixed_unitary(unitaries, weights)
+
+
 def test_qutrit_pair_structure():
     ch1, ch2 = mixed_unitary_pair_d3((0.5, 0.3, 0.2))
     assert_cptp(ch1)
@@ -335,6 +348,8 @@ def test_apply_validates_states():
         apply(ch, np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="Hermitian"):
         apply(ch, np.array([[0.5, 1], [0, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        apply(ch, np.full((2, 2), np.nan))
 
 
 def test_apply_on_A_identity_channel():
@@ -433,6 +448,17 @@ def test_channel_json_schema_errors():
         data = {**good, "kraus": [good["kraus"][0], [[[0, 0], [0, bad]], [[0, 0], [0, 0]]]]}
         with pytest.raises(ValueError, match="channel2: malformed Kraus matrix 1: .* finite"):
             channel_from_dict(data, name="channel2")
+
+
+def test_non_finite_kraus_stack_rejected_before_the_cptp_check():
+    for bad in (np.nan, np.inf):
+        kraus = np.zeros((1, 2, 2), dtype=complex)
+        kraus[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite") as err:
+            Channel(kraus)
+        assert not isinstance(err.value, CPTPError)
+    with pytest.raises(ValueError, match="finite"):
+        Channel(np.full((1, 2, 2), np.nan))
 
 
 def test_non_cptp_kraus_rejected_with_residuals():

@@ -78,6 +78,9 @@ def test_helstrom_priors_and_errors():
         helstrom(zero, one, p1=1.2)
     with pytest.raises(ValueError, match="shapes"):
         helstrom(zero, np.eye(3) / 3)
+    # nan is not within any tolerance of Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        helstrom(np.full((2, 2), np.nan), np.eye(2) / 2)
 
 
 # --- fixed-probe evaluations ---
@@ -265,6 +268,33 @@ def test_dephasing_closed():
     assert dephasing_closed(0.2, 0.9) == pytest.approx(0.85)
     assert dephasing_closed(0.5, 0.5) == pytest.approx(0.5)
     assert dephasing_closed(1 - 1e-12, 1e-12) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_closed_forms_reject_noise_parameters_outside_the_unit_interval():
+    u = np.diag([1.0, np.exp(1j)])
+    forms = {
+        "q": [
+            lambda a, b: depolarizing_single_closed(2, a, b),
+            lambda a, b: depolarizing_maxent_closed(3, a, b),
+            lambda a, b: depolarizing_nonmax_closed(0.3, a, b),
+        ],
+        "r": [
+            dephasing_closed,
+            lambda a, b: gen_dephasing_closed(u, a, b),
+            lambda a, b: gen_dephasing_maxent_closed(u, a, b),
+        ],
+        "eps": [erasure_closed],
+    }
+    for name, fns in forms.items():
+        for fn in fns:
+            for bad in (1.5, -0.1, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name}1 must lie in"):
+                    fn(bad, 0.2)
+                with pytest.raises(ValueError, match=f"{name}2 must lie in"):
+                    fn(0.2, bad)
+            # the endpoints stay valid
+            assert 0.5 <= fn(1.0, 0.0) <= 1.0
+            assert fn(0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_dephasing_uniform_probe_attains_value():
