@@ -59,10 +59,6 @@ def _check_unit(name: str, x) -> float:
     return x
 
 
-def _check_prior(p1) -> float:
-    return _check_unit("p1", p1)
-
-
 def _check_noise(name: str, x1, x2) -> tuple[float, float]:
     """Both noise parameters of a closed form (q1 and q2 for ``name`` "q"), each in [0, 1]."""
     return _check_unit(f"{name}1", x1), _check_unit(f"{name}2", x2)
@@ -74,7 +70,7 @@ def helstrom(rho1, rho2, p1: float = 0.5) -> float:
     rho2 = as_complex(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
-    p1 = _check_prior(p1)
+    p1 = _check_unit("p1", p1)
     diff = p1 * rho1 - (1.0 - p1) * rho2
     return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff).values).sum()))
 
@@ -84,10 +80,10 @@ def pure_difference(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) 
 
     ``k1`` and ``k2`` have shape (n_kraus, dim_out, dim_in). ``psi`` holds m
     probes: single-system probes as an (m, dim_in) array, or the coefficient
-    matrices of bipartite probes as an (m, dim_in, dim_b) array. Returns m D x D matrices, D = dim_out *
-    dim_b. Branch i of a channel maps a probe to (K_i (x) I)|psi>, the
-    flattening of K_i @ psi; with the branches as the rows of B the evolved
-    state is B^T B*.
+    matrices of bipartite probes as an (m, dim_in, dim_b) array. Returns m
+    D x D matrices, D = dim_out * dim_b. Branch i of a channel maps a probe
+    to (K_i (x) I)|psi>, the flattening of K_i @ psi; with the branches as
+    the rows of B the evolved state is B^T B*.
 
     Each probe takes the same per-matrix BLAS calls whatever the stack around
     it, so matrix j equals that of probe j alone bit for bit. Nothing is
@@ -127,7 +123,7 @@ def _fixed_probe_value(ch1: Channel, ch2: Channel, psi: np.ndarray, p1: float) -
         raise ValueError(
             f"probe dimension {psi.shape[0]} does not match channel input {ch1.dim_in}"
         )
-    p1 = _check_prior(p1)
+    p1 = _check_unit("p1", p1)
     return float(helstrom_pure(ch1.kraus, ch2.kraus, psi[None], p1)[0])
 
 

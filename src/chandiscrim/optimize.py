@@ -53,8 +53,8 @@ import numpy as np
 from .channels import Channel
 from .discrimination import (
     DiscriminationResult,
-    _check_prior,
     _check_same_dims,
+    _check_unit,
     helstrom_pure,
     pure_difference,
 )
@@ -214,7 +214,7 @@ def _optimize(pairs, probe_class: str, opts, p1) -> list[DiscriminationResult]:
     for i, (ch1, ch2) in enumerate(pairs):
         _check_same_dims(ch1, ch2)
         groups.setdefault((ch1.kraus.shape, ch2.kraus.shape), []).append(i)
-    p1 = _check_prior(p1)
+    p1 = _check_unit("p1", p1)
     opts = opts or OptimizerOptions()
     single = probe_class == "single"
     results: list = [None] * len(pairs)

@@ -248,8 +248,8 @@ def test_ensemble_validation():
 
 
 def test_ensemble_members_must_be_square_matrices_of_one_size():
-    # a vector used to fail with an IndexError, and a unitary of the wrong size
-    # with a "not unitary ... residual 0.000e+00" message
+    # the shape check runs before the unitarity check, which would index a
+    # vector out of range and call a unitary of the wrong size non-unitary
     for unitaries, weights in [
         ([np.ones(2) / np.sqrt(2)], [1.0]),
         ([np.eye(2), np.eye(3)], [0.5, 0.5]),
