@@ -48,14 +48,7 @@ from .discrimination import (
     mixed_unitary_maxent_bound,
     mixed_unitary_single_bound,
 )
-from .linalg import (
-    EigenDecomposition,
-    hermitian_eig,
-    partial_trace,
-    tensor,
-    trace_norm_hermitian,
-    unitary_eigenphases,
-)
+from .linalg import hermitian_eig, unitary_eigenphases
 from .optimize import OptimizerOptions, optimize_entangled, optimize_pairs, optimize_single
 from .probes import (
     PureProbe,

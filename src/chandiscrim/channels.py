@@ -26,7 +26,6 @@ from .linalg import (
     hermiticity_defect,
     is_unitary,
     ket,
-    tensor,
     to_pairs,
     unitarity_defect,
 )
@@ -80,7 +79,7 @@ class Channel:
         rows = stack.reshape(-1, self.dim_in)
         tp = rows.conj().T @ rows
         tp_residual = float(np.max(np.abs(tp - np.eye(self.dim_in))))
-        choi_min = float(np.linalg.eigvalsh(_choi_matrix(stack)).min())
+        choi_min = float(np.linalg.eigvalsh(choi(self)).min())
         if tp_residual > CPTP_ATOL or choi_min < -CPTP_ATOL:
             raise CPTPError(
                 f"Kraus set is not CPTP: sum K†K residual = {tp_residual:.3e}, "
@@ -96,13 +95,6 @@ class Channel:
     @property
     def dim_out(self) -> int:
         return self.kraus.shape[1]
-
-
-def _choi_matrix(kraus: np.ndarray) -> np.ndarray:
-    # (N (x) I)(|phi+><phi+|) = sum_i v_i v_i†: the branch (K_i (x) I)|phi+> is
-    # row-major vec(K_i)/sqrt(d), and the rows v_i^T of one matrix give the sum.
-    rows = kraus.reshape(len(kraus), -1) / np.sqrt(kraus.shape[2])
-    return rows.T @ rows.conj()
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -317,14 +309,17 @@ def apply_on_A(ch: Channel, rho_ab, dim_b: int) -> np.ndarray:
     eye_b = np.eye(dim_b, dtype=complex)
     out = np.zeros((ch.dim_out * dim_b,) * 2, dtype=complex)
     for k in ch.kraus:
-        kb = tensor(k, eye_b)
+        kb = np.kron(k, eye_b)
         out += kb @ rho_ab @ kb.conj().T
     return out
 
 
 def choi(ch: Channel) -> np.ndarray:
     """Choi matrix (N (x) I)(|phi+><phi+|) with normalized maximally entangled input."""
-    return _choi_matrix(ch.kraus)
+    # (N (x) I)(|phi+><phi+|) = sum_i v_i v_i†: the branch (K_i (x) I)|phi+> is
+    # row-major vec(K_i)/sqrt(d), and the rows v_i^T of one matrix give the sum.
+    rows = ch.kraus.reshape(len(ch.kraus), -1) / np.sqrt(ch.dim_in)
+    return rows.T @ rows.conj()
 
 
 def channel_to_dict(ch: Channel) -> dict:

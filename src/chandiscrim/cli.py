@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -193,9 +194,7 @@ def _fixed_single_probe(body: str, dim: int):
 
 def _closed_result(entry: tuple, probe_class: str) -> DiscriminationResult:
     value, probe, _ = entry
-    return DiscriminationResult(
-        value, probe_class=probe_class, probe=probe.to_dict(), method="closed_form"
-    )
+    return DiscriminationResult(value, probe_class=probe_class, probe=probe, method="closed_form")
 
 
 def evaluate_probe_class(
@@ -284,7 +283,7 @@ def _print_result(family: str, params: dict, args, result: DiscriminationResult)
         "probe_class": result.probe_class,
         "method": result.method,
         "probability": result.probability,
-        "probe": result.probe,
+        "probe": result.probe.to_dict(),
         "optimizer_meta": result.optimizer_meta,
     }
     text = json.dumps(payload, indent=2)
@@ -446,7 +445,7 @@ def cmd_verify(args) -> int:
     reports = run_acceptance(
         tolerance_scale=args.tolerance_scale, seed=args.seed or 0, only=args.only
     )
-    as_json = json.dumps([r.to_dict() for r in reports], indent=2)
+    as_json = json.dumps([dataclasses.asdict(r) for r in reports], indent=2)
     print(as_json if args.json else render_table(reports))
     if args.out:
         _write(args.out, as_json + "\n")
@@ -490,7 +489,9 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--max-iterations", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call: parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="chandiscrim",
         description="Single-shot distinguishability of noisy quantum channels.",
@@ -538,12 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses, built on its first call: parsing keeps no state."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

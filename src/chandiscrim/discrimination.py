@@ -47,7 +47,7 @@ class DiscriminationResult:
 
     probability: float
     probe_class: str
-    probe: dict = field(default_factory=dict)
+    probe: PureProbe
     method: str = "fixed_probe"  # closed_form | optimizer | fixed_probe
     optimizer_meta: dict | None = None
 
@@ -72,7 +72,7 @@ def helstrom(rho1, rho2, p1: float = 0.5) -> float:
         raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
     p1 = _check_unit("p1", p1)
     diff = p1 * rho1 - (1.0 - p1) * rho2
-    return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff).values).sum()))
+    return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff)).sum()))
 
 
 def pure_difference(k1: np.ndarray, k2: np.ndarray, psi: np.ndarray, p1: float) -> np.ndarray:
@@ -132,7 +132,7 @@ def discrim_fixed_single(
 ) -> DiscriminationResult:
     """Helstrom probability for a fixed single-system probe (a vector)."""
     p = _fixed_probe_value(ch1, ch2, _amplitudes(probe, 1), p1)
-    return DiscriminationResult(p, probe_class="single", probe=probe.to_dict())
+    return DiscriminationResult(p, probe_class="single", probe=probe)
 
 
 def discrim_fixed_entangled(
@@ -140,7 +140,7 @@ def discrim_fixed_entangled(
 ) -> DiscriminationResult:
     """Helstrom probability for a fixed bipartite probe (a matrix), channel acting on A."""
     p = _fixed_probe_value(ch1, ch2, _amplitudes(probe, 2), p1)
-    return DiscriminationResult(p, probe_class="general_entangled", probe=probe.to_dict())
+    return DiscriminationResult(p, probe_class="general_entangled", probe=probe)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ cleverness.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Absolute entrywise tolerances for structural checks.
@@ -19,13 +17,6 @@ UNITARY_ATOL = 1e-10
 # Off-diagonal residual accepted when diagonalizing a unitary.
 _UNITARY_DIAG_RESIDUAL = 1e-8
 _UNITARY_DIAG_ATTEMPTS = 8
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectrum of a Hermitian matrix, eigenvalues sorted descending."""
-
-    values: np.ndarray   # real, shape (d,), descending
-    vectors: np.ndarray  # unitary, column k pairs with values[k]
 
 
 def as_complex(a) -> np.ndarray:
@@ -60,41 +51,8 @@ def ket(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def projector(vec) -> np.ndarray:
-    """Rank-one projector |v><v| for a (not necessarily normalized) vector."""
-    v = as_complex(vec).reshape(-1)
-    return np.outer(v, v.conj())
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_complex(a), as_complex(b))
-
-
-def partial_trace(m, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
-    """Trace out one factor of a bipartite operator on C^dim_a (x) C^dim_b.
-
-    ``keep`` selects the surviving subsystem, "A" or "B". The input must be
-    square of size dim_a*dim_b; the full trace is preserved.
-    """
-    m = as_complex(m)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(
-            f"partial_trace expects a {n}x{n} matrix for dims ({dim_a},{dim_b}), "
-            f"got {m.shape}"
-        )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    tag = keep.upper()
-    if tag == "A":
-        return np.einsum("abcb->ac", t)
-    if tag == "B":
-        return np.einsum("abac->bc", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def hermitian_eig(a) -> EigenDecomposition:
-    """Full spectrum of a Hermitian matrix, eigenvalues descending.
+def hermitian_eig(a) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending.
 
     The input is required to be Hermitian within ``HERMITIAN_ATOL`` and is
     symmetrized as (A + A†)/2 before solving to absorb roundoff.
@@ -106,13 +64,9 @@ def hermitian_eig(a) -> EigenDecomposition:
             f"matrix is not Hermitian: max|A - A†| = {defect:.3e} "
             f"exceeds {HERMITIAN_ATOL:.0e}"
         )
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return EigenDecomposition(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
-
-
-def trace_norm_hermitian(a) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(hermitian_eig(a).values).sum())
+    # eigh, not eigvalsh: the two differ in the last bits, and the Helstrom
+    # values that rest on this call are kept bit for bit.
+    return np.linalg.eigh((a + a.conj().T) / 2.0)[0][::-1]
 
 
 def unitary_eigenphases(u) -> list[tuple[float, np.ndarray]]:
@@ -153,16 +107,6 @@ def unitary_eigenphases(u) -> list[tuple[float, np.ndarray]]:
         f"failed to resolve a common eigenbasis for the unitary after "
         f"{_UNITARY_DIAG_ATTEMPTS} attempts"
     )
-
-
-def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    # Fix the gauge so the distribution is exactly Haar.
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def to_pairs(a) -> list:

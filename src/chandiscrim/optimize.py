@@ -71,9 +71,9 @@ from .probes import (
 _MAX_STRETCH = 2.0**20
 
 # Cap on the entries of the largest arrays a step of a stacked see-saw holds,
-# S @ right and its reordered copy: (live starts) x (n1 + n2) * D * n. _optimize
-# stacks as many pairs as fit under it, and runs a pair that does not fit alone,
-# broadcasting its operators. Below the cap a step's cost is mostly numpy call
+# S @ right and its reordered copy: (live starts) x (n1 + n2) * D * n.
+# optimize_pairs stacks as many pairs as fit under it, and runs a pair that
+# does not fit alone, broadcasting its operators. Below the cap a step's cost is mostly numpy call
 # overhead, which stacking saves; above it the arithmetic dominates, and the
 # per-start copies of a stack would only add memory and time.
 _STACK_ENTRIES = 2**15
@@ -202,14 +202,24 @@ def _fixed_starts(probe_class: str, d: int) -> list:
     return [max_entangled(d).amplitudes.reshape(-1), ket(d * d, 0)]  # |phi+> and |0>|0>
 
 
-def _optimize(pairs, probe_class: str, opts, p1) -> list[DiscriminationResult]:
-    """Search "single" probes, or bipartite ones with dim_b = dim_in, for each channel pair.
+def optimize_pairs(
+    pairs: list[tuple[Channel, Channel]],
+    probe_class: str,
+    opts: OptimizerOptions | None = None,
+    p1: float = 0.5,
+) -> list[DiscriminationResult]:
+    """One search per channel pair, in input order, over ``probe_class`` probes, priors (p1, 1 - p1).
 
-    The pairs whose Kraus stacks have the same shapes run as see-saw stacks
-    of as many pairs as fit under ``_STACK_ENTRIES``. Each search starts from,
-    in order, the fixed starts of ``probe_class`` and ``opts.restarts``
-    random ones.
+    ``probe_class`` is "single" or "general_entangled" (bipartite probes with
+    dim_b = dim_in). The searches of pairs whose Kraus stacks share their
+    shapes run as one see-saw stack, as many as fit under ``_STACK_ENTRIES``,
+    so each step makes one batched ``eigh`` for all their live starts; result
+    i is what the one-pair optimizer gives for ``pairs[i]``, bit for bit. Each
+    search starts from, in order, the fixed starts of ``probe_class`` and
+    ``opts.restarts`` random ones.
     """
+    if probe_class not in ("single", "general_entangled"):
+        raise ValueError(f"probe_class must be 'single' or 'general_entangled', got {probe_class!r}")
     groups: dict[tuple, list[int]] = {}
     for i, (ch1, ch2) in enumerate(pairs):
         _check_same_dims(ch1, ch2)
@@ -235,28 +245,8 @@ def _optimize(pairs, probe_class: str, opts, p1) -> list[DiscriminationResult]:
             each = np.broadcast_to(starts, (len(part), *starts.shape))  # the same starts per pair
             for i, (psi, value, meta) in zip(part, _seesaw(k1, k2, p1, each, dim_b, opts)):
                 probe = PureProbe(psi if single else psi.reshape(d, d))
-                results[i] = DiscriminationResult(value, probe_class, probe.to_dict(), "optimizer", meta)
+                results[i] = DiscriminationResult(value, probe_class, probe, "optimizer", meta)
     return results
-
-
-def optimize_pairs(
-    pairs: list[tuple[Channel, Channel]],
-    probe_class: str,
-    opts: OptimizerOptions | None = None,
-    p1: float = 0.5,
-) -> list[DiscriminationResult]:
-    """One search per channel pair, in input order, over ``probe_class`` probes, priors (p1, 1 - p1).
-
-    ``probe_class`` is "single" (the search of ``optimize_single``) or
-    "general_entangled" (that of ``optimize_entangled``). The searches of
-    pairs whose Kraus stacks share their shapes run as one see-saw stack, as
-    many as fit under ``_STACK_ENTRIES``, so each step makes one batched
-    ``eigh`` for all their live starts; result i is what the one-pair
-    optimizer gives for ``pairs[i]``, bit for bit.
-    """
-    if probe_class not in ("single", "general_entangled"):
-        raise ValueError(f"probe_class must be 'single' or 'general_entangled', got {probe_class!r}")
-    return _optimize(pairs, probe_class, opts, p1)
 
 
 def optimize_single(
@@ -271,7 +261,7 @@ def optimize_single(
     result is never below those fixed-probe values, and from
     ``opts.restarts`` random probes.
     """
-    return _optimize([(ch1, ch2)], "single", opts, p1)[0]
+    return optimize_pairs([(ch1, ch2)], "single", opts, p1)[0]
 
 
 def optimize_entangled(
@@ -286,4 +276,4 @@ def optimize_entangled(
     probe is at most dim_in), so the B side is fixed to dim_in. Starts include
     the maximally entangled probe and the product probe |0>|0>.
     """
-    return _optimize([(ch1, ch2)], "general_entangled", opts, p1)[0]
+    return optimize_pairs([(ch1, ch2)], "general_entangled", opts, p1)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex, ket, projector, to_pairs
+from .linalg import as_complex, ket, to_pairs
 
 NORM_ATOL = 1e-12
 
@@ -41,7 +41,8 @@ class PureProbe:
         object.__setattr__(self, "amplitudes", _unit(a, "probe amplitude vector"))
 
     def density(self) -> np.ndarray:
-        return projector(self.amplitudes)
+        v = self.amplitudes.reshape(-1)
+        return np.outer(v, v.conj())
 
     def to_dict(self) -> dict:
         a = self.amplitudes

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class ScenarioReport:
     kind: str  # abs | le | ge | gt
     passed: bool
     runtime_ms: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _passes(expected: float, computed: float, tolerance: float, kind: str) -> bool:

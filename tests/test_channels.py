@@ -21,9 +21,9 @@ from chandiscrim.channels import (
     mixed_unitary_pair_d6,
     shift_matrix,
 )
-from chandiscrim.linalg import ket, projector, tensor
+from chandiscrim.linalg import ket
 from chandiscrim.probes import max_entangled, uniform_superposition
-from helpers import stinespring_channel
+from helpers import projector, random_unitary, stinespring_channel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -184,8 +184,6 @@ def test_gen_dephasing_rejects_non_unitary():
 
 
 def test_gen_dephasing_matches_affine_action():
-    from chandiscrim.linalg import random_unitary
-
     rng = np.random.default_rng(33)
     u = random_unitary(3, rng)
     ch = make_generalized_dephasing(u, 0.55)
@@ -362,7 +360,7 @@ def test_apply_on_A_depolarizing_phi_plus():
     q = 0.65
     ch = make_depolarizing(2, q)
     rho = max_entangled(2).density()
-    expected = q * rho + (1 - q) * tensor(np.eye(2) / 2, np.eye(2) / 2)
+    expected = q * rho + (1 - q) * np.kron(np.eye(2) / 2, np.eye(2) / 2)
     np.testing.assert_allclose(apply_on_A(ch, rho, 2), expected, atol=1e-12)
 
 
@@ -374,8 +372,8 @@ def test_apply_on_A_erasure_phi_plus():
     # expected: embed A into C^3 and keep B, plus the flag branch on A
     embed = np.zeros((3, 2), dtype=complex)
     embed[:2, :] = np.eye(2)
-    big = tensor(embed, np.eye(2))
-    expected = eps * big @ rho @ big.conj().T + (1 - eps) * tensor(
+    big = np.kron(embed, np.eye(2))
+    expected = eps * big @ rho @ big.conj().T + (1 - eps) * np.kron(
         projector(ket(3, 2)), np.eye(2) / 2
     )
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -387,8 +385,8 @@ def test_apply_on_A_factorizes_on_product_states():
         for _ in range(10):
             rho_a = random_density(2, rng)
             rho_b = random_density(3, rng)
-            out = apply_on_A(ch, tensor(rho_a, rho_b), 3)
-            np.testing.assert_allclose(out, tensor(apply(ch, rho_a), rho_b), atol=1e-10)
+            out = apply_on_A(ch, np.kron(rho_a, rho_b), 3)
+            np.testing.assert_allclose(out, np.kron(apply(ch, rho_a), rho_b), atol=1e-10)
 
 
 def test_apply_linearity():

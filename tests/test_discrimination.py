@@ -36,7 +36,7 @@ from chandiscrim.discrimination import (
     mixed_unitary_maxent_bound,
     mixed_unitary_single_bound,
 )
-from chandiscrim.linalg import is_unitary, ket, projector, random_unitary, tensor
+from chandiscrim.linalg import is_unitary, ket
 from chandiscrim.probes import (
     PureProbe,
     basis_probe,
@@ -50,7 +50,7 @@ from chandiscrim.probes import (
     uniform_superposition,
     zeta_probe,
 )
-from helpers import stinespring_channel
+from helpers import projector, random_unitary, stinespring_channel
 
 # --- Helstrom ---
 
@@ -254,7 +254,7 @@ def test_maxent_probes_are_equivalent():
     for ch1, ch2, expected in cases:
         base = max_entangled(2).amplitudes.reshape(-1)
         for _ in range(50):
-            u = tensor(random_unitary(2, rng), random_unitary(2, rng))
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             probe = PureProbe((u @ base).reshape(2, 2))
             value = discrim_fixed_entangled(ch1, ch2, probe).probability
             assert value == pytest.approx(expected, abs=1e-9)

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from chandiscrim.linalg import partial_trace
 from chandiscrim.probes import (
     PureProbe,
     basis_probe,
@@ -17,6 +16,7 @@ from chandiscrim.probes import (
     uniform_superposition,
     zeta_probe,
 )
+from helpers import partial_trace
 
 
 def test_bloch_qubit_poles_and_equator():
