@@ -14,7 +14,6 @@ from .channels import (
     apply,
     apply_on_A,
     channel_from_dict,
-    channel_to_dict,
     choi,
     make_amplitude_damping,
     make_depolarizing,

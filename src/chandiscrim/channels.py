@@ -22,11 +22,11 @@ from .linalg import (
     HERMITIAN_ATOL,
     UNITARY_ATOL,
     as_complex,
+    check_dim,
     from_pairs,
     hermiticity_defect,
     is_unitary,
     ket,
-    to_pairs,
     unitarity_defect,
 )
 
@@ -108,8 +108,10 @@ def _validate_state(rho, dim: int) -> np.ndarray:
     rho = as_complex(rho)
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected ({dim}, {dim})")
+    if not np.isfinite(rho).all():
+        raise ValueError("state must have finite entries")
     defect = hermiticity_defect(rho)
-    if not defect <= HERMITIAN_ATOL:  # also rejects nan
+    if not defect <= HERMITIAN_ATOL:
         raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > STATE_TRACE_ATOL:
@@ -158,8 +160,7 @@ def make_depolarizing(d: int, q: float) -> Channel:
     identity carries weight q + (1-q)/d^2 and every other Weyl operator
     carries (1-q)/d^2, which reproduces the affine action exactly.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    d = check_dim(d)
     q = _check_probability("q", q)
     w = (1.0 - q) / d**2
     kraus = (np.sqrt(q + w) * np.eye(d, dtype=complex), *(np.sqrt(w) * _weyl_operators(d)))
@@ -172,8 +173,7 @@ def make_dephasing(d: int, r: float) -> Channel:
     Z is the clock matrix, non-Hermitian for d >= 3, so the second Kraus
     branch acts as Z rho Z†; for qubits this is the usual phase flip.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    d = check_dim(d)
     r = _check_probability("r", r)
     kraus = (np.sqrt(r) * np.eye(d, dtype=complex), np.sqrt(1.0 - r) * clock_matrix(d))
     return Channel(kraus)
@@ -282,8 +282,7 @@ def make_erasure(d: int, eps: float) -> Channel:
     The output space is C^(d+1); the input embeds into the first d coordinates
     and |e> is the added last basis vector, orthogonal to every input state.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    d = check_dim(d)
     eps = _check_probability("eps", eps)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
@@ -320,15 +319,6 @@ def choi(ch: Channel) -> np.ndarray:
     # row-major vec(K_i)/sqrt(d), and the rows v_i^T of one matrix give the sum.
     rows = ch.kraus.reshape(len(ch.kraus), -1) / np.sqrt(ch.dim_in)
     return rows.T @ rows.conj()
-
-
-def channel_to_dict(ch: Channel) -> dict:
-    """Encode a channel in the JSON Kraus schema."""
-    return {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus": [to_pairs(k) for k in ch.kraus],
-    }
 
 
 def channel_from_dict(data, name: str = "channel") -> Channel:

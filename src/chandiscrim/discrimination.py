@@ -28,7 +28,14 @@ from .channels import (
     mixed_unitary_pair_d3,
     mixed_unitary_pair_d6,
 )
-from .linalg import UNITARY_ATOL, as_complex, hermitian_eig, is_unitary, unitary_eigenphases
+from .linalg import (
+    UNITARY_ATOL,
+    as_complex,
+    check_dim,
+    hermitian_eig,
+    is_unitary,
+    unitary_eigenphases,
+)
 from .probes import (
     PureProbe,
     _amplitudes,
@@ -70,6 +77,8 @@ def helstrom(rho1, rho2, p1: float = 0.5) -> float:
     rho2 = as_complex(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
+    if not (np.isfinite(rho1).all() and np.isfinite(rho2).all()):
+        raise ValueError("states must have finite entries")
     p1 = _check_unit("p1", p1)
     diff = p1 * rho1 - (1.0 - p1) * rho2
     return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff)).sum()))
@@ -151,16 +160,14 @@ def discrim_fixed_entangled(
 
 def depolarizing_single_closed(d: int, q1: float, q2: float) -> float:
     """Single-probe value (1/2)(1 + |q1-q2| (1 - 1/d)); the same for every pure probe."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    d = check_dim(d)
     q1, q2 = _check_noise("q", q1, q2)
     return 0.5 * (1.0 + abs(q1 - q2) * (1.0 - 1.0 / d))
 
 
 def depolarizing_maxent_closed(d: int, q1: float, q2: float) -> float:
     """Maximally entangled probe value (1/2)(1 + |q1-q2| (1 - 1/d^2))."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    d = check_dim(d)
     q1, q2 = _check_noise("q", q1, q2)
     return 0.5 * (1.0 + abs(q1 - q2) * (1.0 - 1.0 / d**2))
 
@@ -473,10 +480,7 @@ class Family:
 
 
 def _dim(values: dict) -> int:
-    d = values["d"]
-    if not float(d).is_integer():
-        raise ValueError(f"d must be an integer, got {d!r}")
-    return int(d)
+    return check_dim(values["d"])
 
 
 def _dim_pair(v: dict, make, a: str, b: str):

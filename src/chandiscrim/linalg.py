@@ -42,6 +42,16 @@ def is_unitary(u) -> bool:
     return unitarity_defect(u) <= UNITARY_ATOL
 
 
+def check_dim(d) -> int:
+    """The dimension ``d`` as an int: an integral value of at least 2 (3.0 is 3)."""
+    if not float(d).is_integer():  # also rejects nan and inf
+        raise ValueError(f"d must be an integer, got {d}")
+    d = int(d)
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    return d
+
+
 def ket(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in dimension ``dim``."""
     if not 0 <= index < dim:

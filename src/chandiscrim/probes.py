@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex, ket, to_pairs
+from .linalg import as_complex, check_dim, ket, to_pairs
 
 NORM_ATOL = 1e-12
 
@@ -67,8 +67,7 @@ def bloch_qubit(theta: float, delta: float) -> PureProbe:
 
 def uniform_superposition(d: int) -> PureProbe:
     """The balanced probe (1, 1, ..., 1)/sqrt(d)."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    d = check_dim(d)
     return PureProbe(np.full(d, 1.0 / np.sqrt(d), dtype=complex))
 
 
@@ -79,8 +78,7 @@ def basis_probe(d: int, index: int = 0) -> PureProbe:
 
 def max_entangled(d: int) -> PureProbe:
     """Maximally entangled probe (1/sqrt(d)) sum_i |i>|i>, the matrix I/sqrt(d)."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    d = check_dim(d)
     return PureProbe(np.eye(d) / np.sqrt(d))
 
 

@@ -280,11 +280,11 @@ def _criterion_5(s: _Suite, seed: int, scale: float):
     """Amplitude damping: the noise level decides which probe class wins."""
     cases = {
         # (sqrt(mu1)+sqrt(mu2))^2 = 2.25 >= 1/2: single wins
-        "r1": (0.81, 0.36, "ge"),
+        "r1": (0.81, 0.36),
         # (sqrt(mu1)+sqrt(mu2))^2 = 0.09 < 1/2: maximally entangled wins
-        "r2": (0.04, 0.01, "le"),
+        "r2": (0.04, 0.01),
     }
-    for index, (tag, (mu1, mu2, _)) in enumerate(cases.items()):
+    for index, (tag, (mu1, mu2)) in enumerate(cases.items()):
         ch1 = make_amplitude_damping(mu1)
         ch2 = make_amplitude_damping(mu2)
         single_closed, theta = ad_single_closed(mu1, mu2)

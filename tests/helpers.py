@@ -3,7 +3,7 @@
 import numpy as np
 
 from chandiscrim.channels import Channel
-from chandiscrim.linalg import hermitian_eig
+from chandiscrim.linalg import hermitian_eig, to_pairs
 
 
 def stinespring_channel(rng, dim_in: int, dim_out: int, branches: int) -> Channel:
@@ -11,6 +11,15 @@ def stinespring_channel(rng, dim_in: int, dim_out: int, branches: int) -> Channe
     g = rng.standard_normal((dim_out * branches, dim_in))
     v, _ = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))
     return Channel(v.reshape(branches, dim_out, dim_in))
+
+
+def channel_to_dict(ch: Channel) -> dict:
+    """Encode a channel in the JSON Kraus schema that ``channel_from_dict`` reads."""
+    return {
+        "dim_in": ch.dim_in,
+        "dim_out": ch.dim_out,
+        "kraus": [to_pairs(k) for k in ch.kraus],
+    }
 
 
 def projector(vec) -> np.ndarray:

@@ -8,7 +8,6 @@ from chandiscrim.channels import (
     apply,
     apply_on_A,
     channel_from_dict,
-    channel_to_dict,
     choi,
     clock_matrix,
     make_amplitude_damping,
@@ -23,7 +22,7 @@ from chandiscrim.channels import (
 )
 from chandiscrim.linalg import ket
 from chandiscrim.probes import max_entangled, uniform_superposition
-from helpers import projector, random_unitary, stinespring_channel
+from helpers import channel_to_dict, projector, random_unitary, stinespring_channel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -346,8 +345,14 @@ def test_apply_validates_states():
         apply(ch, np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="Hermitian"):
         apply(ch, np.array([[0.5, 1], [0, 0.5]], dtype=complex))
-    with pytest.raises(ValueError, match="Hermitian"):
-        apply(ch, np.full((2, 2), np.nan))
+    # a non-finite state used to reach the Hermiticity check's arithmetic
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            apply(ch, np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="finite"):
+            apply(ch, np.array([[0.5, bad], [bad, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            apply_on_A(ch, np.full((4, 4), bad), 2)
 
 
 def test_apply_on_A_identity_channel():

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from chandiscrim import cli
-from chandiscrim.channels import channel_to_dict, make_amplitude_damping, mixed_unitary_pair_d6
+from chandiscrim.channels import make_amplitude_damping, mixed_unitary_pair_d6
 from chandiscrim.cli import main
 from chandiscrim.discrimination import FAMILIES, discrim_fixed_entangled, discrim_fixed_single
 from chandiscrim.linalg import from_pairs, to_pairs
 from chandiscrim.probes import PureProbe
+from helpers import channel_to_dict
 
 
 def run_cli(*args):

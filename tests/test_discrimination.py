@@ -78,9 +78,13 @@ def test_helstrom_priors_and_errors():
         helstrom(zero, one, p1=1.2)
     with pytest.raises(ValueError, match="shapes"):
         helstrom(zero, np.eye(3) / 3)
-    # nan is not within any tolerance of Hermitian
-    with pytest.raises(ValueError, match="not Hermitian"):
-        helstrom(np.full((2, 2), np.nan), np.eye(2) / 2)
+    # nan, and inf (which used to raise a RuntimeWarning in the Hermiticity
+    # check's arithmetic), are rejected before any arithmetic
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            helstrom(np.full((2, 2), bad), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="finite"):
+            helstrom(zero, np.array([[0.5, bad], [bad, 0.5]]))
 
 
 # --- fixed-probe evaluations ---
@@ -295,6 +299,33 @@ def test_closed_forms_reject_noise_parameters_outside_the_unit_interval():
             # the endpoints stay valid
             assert 0.5 <= fn(1.0, 0.0) <= 1.0
             assert fn(0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_dimension_arguments_must_be_integers_of_at_least_two():
+    # a fractional d used to give a closed-form value or a numpy TypeError
+    takes_d = [
+        lambda d: depolarizing_single_closed(d, 0.9, 0.3),
+        lambda d: depolarizing_maxent_closed(d, 0.9, 0.3),
+        lambda d: make_depolarizing(d, 0.3),
+        lambda d: make_dephasing(d, 0.3),
+        lambda d: make_erasure(d, 0.3),
+        uniform_superposition,
+        max_entangled,
+    ]
+    for fn in takes_d:
+        for bad in (2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^d must be an integer, got {bad}$"):
+                fn(bad)
+        for small in (1, 1.0, 0, -3):
+            with pytest.raises(ValueError, match=f"^d must be at least 2, got {int(small)}$"):
+                fn(small)
+    # an integral float is that integer
+    assert depolarizing_single_closed(3.0, 0.9, 0.3) == depolarizing_single_closed(3, 0.9, 0.3)
+    assert depolarizing_maxent_closed(2.0, 0.9, 0.3) == depolarizing_maxent_closed(2, 0.9, 0.3)
+    for make in (make_depolarizing, make_dephasing, make_erasure):
+        assert np.array_equal(make(3.0, 0.3).kraus, make(3, 0.3).kraus)
+    assert np.array_equal(uniform_superposition(3.0).amplitudes, uniform_superposition(3).amplitudes)
+    assert np.array_equal(max_entangled(2.0).amplitudes, max_entangled(2).amplitudes)
 
 
 def test_dephasing_uniform_probe_attains_value():
