@@ -225,8 +225,11 @@ def gen_dephasing_closed(u, r1: float, r2: float) -> float:
     cannot improve on it.
     """
     r1, r2 = _check_noise("r", r1, r2)
-    phases = [theta for theta, _ in unitary_eigenphases(u)]
-    m = hull_min_distance(phases)
+    return _hull_value(unitary_eigenphases(u), r1, r2)
+
+
+def _hull_value(eig, r1: float, r2: float) -> float:
+    m = hull_min_distance([theta for theta, _ in eig])
     return 0.5 * (1.0 + abs(r1 - r2) * np.sqrt(max(0.0, 1.0 - m * m)))
 
 
@@ -306,7 +309,10 @@ def gen_dephasing_optimal_probe(u) -> PureProbe:
     weights place the convex combination of eigenphase points as close to the
     origin as possible.
     """
-    eig = unitary_eigenphases(u)
+    return _hull_probe(unitary_eigenphases(u))
+
+
+def _hull_probe(eig) -> PureProbe:
     weights = hull_nearest_weights([theta for theta, _ in eig])
     v = sum(np.sqrt(w) * vec for w, (_, vec) in zip(weights, eig))
     return PureProbe(v / np.linalg.norm(v))
@@ -516,6 +522,13 @@ def _depolarizing_nonmax(v: dict):
     return value, nonmax_qubit(v["g"], v.get("z", 0.0)), {}
 
 
+def _gen_dephasing_single(v: dict):
+    """The value and its probe from one eigen-solve of the unitary."""
+    r1, r2 = _check_noise("r", v["r1"], v["r2"])
+    eig = unitary_eigenphases(v["u"])
+    return _hull_value(eig, r1, r2), _hull_probe(eig), {}
+
+
 def _ad_single(v: dict):
     value, theta = ad_single_closed(v["mu1"], v["mu2"])
     return value, bloch_qubit(theta, 0.0), {"theta_opt": theta}
@@ -557,11 +570,7 @@ FAMILIES: dict[str, Family] = {
         make=_make_gen_dephasing,
         inputs=("u",),
         closed={
-            "single": lambda v: (
-                gen_dephasing_closed(v["u"], v["r1"], v["r2"]),
-                gen_dephasing_optimal_probe(v["u"]),
-                {},
-            ),
+            "single": _gen_dephasing_single,
             "maxent": lambda v: (
                 gen_dephasing_maxent_closed(v["u"], v["r1"], v["r2"]),
                 max_entangled(v["u"].shape[0]),

@@ -53,7 +53,8 @@ def check_dim(d) -> int:
 
 
 def ket(dim: int, index: int) -> np.ndarray:
-    """Computational basis vector |index> in dimension ``dim``."""
+    """Computational basis vector |index> in dimension ``dim`` (see ``check_dim``)."""
+    dim = check_dim(dim)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=complex)

@@ -121,8 +121,7 @@ def zeta_probe(c1: complex, c2: complex) -> PureProbe:
 
 def random_pure(dim: int, seed) -> PureProbe:
     """Haar-random single-system probe (normalized complex Gaussian), deterministic per seed."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    dim = check_dim(dim)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureProbe(v / np.linalg.norm(v))
@@ -130,8 +129,7 @@ def random_pure(dim: int, seed) -> PureProbe:
 
 def random_bipartite(dim_a: int, dim_b: int, seed) -> PureProbe:
     """Haar-random bipartite probe on C^dim_a (x) C^dim_b."""
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError("dimensions must be positive")
+    dim_a, dim_b = check_dim(dim_a), check_dim(dim_b)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = dim_a * dim_b
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

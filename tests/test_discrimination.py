@@ -302,7 +302,8 @@ def test_closed_forms_reject_noise_parameters_outside_the_unit_interval():
 
 
 def test_dimension_arguments_must_be_integers_of_at_least_two():
-    # a fractional d used to give a closed-form value or a numpy TypeError
+    # a fractional d used to give a closed-form value or a numpy TypeError; random_bipartite
+    # reported the product d_a * d_b, a number the caller never gave
     takes_d = [
         lambda d: depolarizing_single_closed(d, 0.9, 0.3),
         lambda d: depolarizing_maxent_closed(d, 0.9, 0.3),
@@ -311,6 +312,11 @@ def test_dimension_arguments_must_be_integers_of_at_least_two():
         lambda d: make_erasure(d, 0.3),
         uniform_superposition,
         max_entangled,
+        lambda d: ket(d, 0),
+        lambda d: basis_probe(d, 0),
+        lambda d: random_pure(d, 0),
+        lambda d: random_bipartite(d, 2, 0),
+        lambda d: random_bipartite(2, d, 0),
     ]
     for fn in takes_d:
         for bad in (2.5, float("nan"), float("inf")):
@@ -326,6 +332,11 @@ def test_dimension_arguments_must_be_integers_of_at_least_two():
         assert np.array_equal(make(3.0, 0.3).kraus, make(3, 0.3).kraus)
     assert np.array_equal(uniform_superposition(3.0).amplitudes, uniform_superposition(3).amplitudes)
     assert np.array_equal(max_entangled(2.0).amplitudes, max_entangled(2).amplitudes)
+    assert np.array_equal(basis_probe(3.0, 1).amplitudes, basis_probe(3, 1).amplitudes)
+    assert np.array_equal(random_pure(3.0, 5).amplitudes, random_pure(3, 5).amplitudes)
+    assert np.array_equal(
+        random_bipartite(2.0, 3.0, 5).amplitudes, random_bipartite(2, 3, 5).amplitudes
+    )
 
 
 def test_dephasing_uniform_probe_attains_value():

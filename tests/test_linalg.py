@@ -2,26 +2,58 @@ import numpy as np
 import pytest
 
 from chandiscrim.linalg import from_pairs, hermitian_eig, ket, to_pairs, unitary_eigenphases
-from chandiscrim.probes import max_entangled, nonmax_qubit, random_pure, zeta_probe
+from chandiscrim.probes import (
+    PureProbe,
+    basis_probe,
+    max_entangled,
+    nonmax_qubit,
+    product_probe,
+    random_pure,
+    zeta_probe,
+)
 from helpers import partial_trace, projector, random_unitary, trace_norm_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+# The tensor-product layout of probes: a product probe |a>|b> is the Kronecker
+# product of its factors, and a bipartite probe is acted on through its row index A.
+
+
+def _product_of_basis_probes(i: int, j: int):
+    a, b = basis_probe(2, i), basis_probe(2, j)
+    probe = product_probe(a, b)
+    np.testing.assert_array_equal(
+        probe.amplitudes.reshape(-1), np.kron(a.amplitudes, b.amplitudes)
+    )
+    np.testing.assert_array_equal(probe.density(), np.kron(a.density(), b.density()))
+    return probe
+
+
 def test_tensor_identity():
-    np.testing.assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
+    total = sum(_product_of_basis_probes(i, j).density() for i in (0, 1) for j in (0, 1))
+    np.testing.assert_allclose(total, np.kron(np.eye(2), np.eye(2)))
+    np.testing.assert_allclose(total, np.eye(4))
 
 
 def test_tensor_basis_projectors():
-    out = np.kron(projector(ket(2, 0)), projector(ket(2, 1)))
+    out = _product_of_basis_probes(0, 1).density()
+    np.testing.assert_allclose(out, np.kron(projector(ket(2, 0)), projector(ket(2, 1))))
     np.testing.assert_allclose(out, np.diag([0, 1, 0, 0.0]))
 
 
 def test_tensor_sigma_z_on_phi_plus():
-    phi = max_entangled(2).amplitudes.reshape(-1)
-    out = np.kron(SZ, np.eye(2)) @ phi
+    phi = max_entangled(2).amplitudes
+    out = (SZ @ phi).reshape(-1)  # sigma_z on A is a left product on the coefficient matrix
+    np.testing.assert_allclose(out, np.kron(SZ, np.eye(2)) @ phi.reshape(-1), atol=1e-15)
     np.testing.assert_allclose(out, np.array([1, 0, 0, -1]) / np.sqrt(2), atol=1e-15)
+    # the same on a product probe acts on its A factor alone
+    a, b = random_pure(2, 3), random_pure(3, 4)
+    flipped = product_probe(PureProbe(SZ @ a.amplitudes), b).amplitudes.reshape(-1)
+    np.testing.assert_allclose(
+        flipped, np.kron(SZ, np.eye(3)) @ product_probe(a, b).amplitudes.reshape(-1), atol=1e-15
+    )
 
 
 def test_partial_trace_phi_plus():

@@ -4,7 +4,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from chandiscrim import optimize
+import pytest
+
+from chandiscrim import optimize, verify
 from chandiscrim.channels import make_dephasing
 from chandiscrim.optimize import OptimizerOptions
 
@@ -39,3 +41,22 @@ def test_every_traced_layer_name_resolves_and_the_optimizer_hook_reads_d(monkeyp
     assert len(metas) == 1
     assert metas[0]["d"] == 3
     assert metas[0]["evals"] == result.optimizer_meta["evaluations"]
+
+
+@pytest.mark.parametrize("number, searches, builds, eigen", [(2, 1, 2, 0), (4, 2, 2, 1)])
+def test_verify_rows_call_through_the_traced_names(monkeypatch, number, searches, builds, eigen):
+    # a row table holding the function objects of import time would escape these spans, and
+    # the three rows of criterion 4 share one gen-dephasing closed form and its one eigen-solve
+    tracing = _load_tracer(monkeypatch)
+    tracer = tracing.Tracer()
+    instr = tracing.Instrumentation(tracer).install()
+    try:
+        reports = verify.run_criterion(number)
+    finally:
+        instr.remove()
+    assert reports and all(r.passed for r in reports)
+    layers = [span[0] for span in tracer.spans]
+    assert layers.count("verify") == 1
+    assert layers.count("optimize") == searches
+    assert layers.count("channels.build") == builds
+    assert layers.count("linalg.eigenphases") == eigen
