@@ -1,8 +1,13 @@
-"""Shared test helpers: random inputs and independent references in plain numpy."""
+"""Shared test helpers: random inputs, independent references in plain numpy, the CLI in-process."""
+
+import contextlib
+import io
+import subprocess
 
 import numpy as np
 
 from chandiscrim.channels import Channel
+from chandiscrim.cli import main
 from chandiscrim.linalg import hermitian_eig, to_pairs
 
 
@@ -63,3 +68,14 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 def trace_norm_hermitian(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix, as ``helstrom`` takes it."""
     return float(np.abs(hermitian_eig(a)).sum())
+
+
+def run_main(*args):
+    """``main`` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())

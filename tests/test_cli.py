@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import subprocess
 import sys
@@ -13,7 +11,7 @@ from chandiscrim.cli import main
 from chandiscrim.discrimination import FAMILIES, discrim_fixed_entangled, discrim_fixed_single
 from chandiscrim.linalg import from_pairs, to_pairs
 from chandiscrim.probes import PureProbe
-from helpers import channel_to_dict
+from helpers import channel_to_dict, run_main
 
 
 def run_cli(*args):
@@ -25,17 +23,6 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "chandiscrim", *args], capture_output=True, text=True
     )
-
-
-def run_main(*args):
-    """``main`` in this process: its exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(args))
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
-    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 def test_eval_depolarizing_maxent():
