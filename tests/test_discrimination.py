@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -300,6 +302,19 @@ def test_closed_forms_reject_noise_parameters_outside_the_unit_interval():
             assert 0.5 <= fn(1.0, 0.0) <= 1.0
             assert fn(0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
 
+    # amplitude damping takes mu strictly inside (0, 1), and the Schmidt weight p as well
+    ad_forms = [ad_single_closed, ad_maxent_closed, lambda a, b: ad_nonmax_norm(0.3, a, b)]
+    for fn in ad_forms:
+        for bad in (0.0, 1.0, float("nan")):
+            for name, args in (("mu1", (bad, 0.2)), ("mu2", (0.2, bad))):
+                message = f"{name} must lie strictly in (0, 1), got {bad!r}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    fn(*args)
+    for bad in (0.0, 1.0, float("nan")):
+        message = f"p must lie strictly in (0, 1), got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ad_nonmax_norm(bad, 0.36, 0.09)
+
 
 def test_dimension_arguments_must_be_integers_of_at_least_two():
     # a fractional d used to give a closed-form value or a numpy TypeError; random_bipartite
@@ -394,11 +409,26 @@ def test_hull_distance_against_constrained_minimizer():
         assert fast == pytest.approx(slow, abs=1e-6)
 
 
+# One input per branch of the hull walk, with its weights bit for bit: an
+# antipodal pair, one point, two triangles around the origin, a gap above pi.
+PINNED_HULL_WEIGHTS = [
+    ([0.0, np.pi], [0.5, 0.5]),
+    ([1.3], [1.0]),
+    ([0.0, 2.0, 4.0], [0.353070731859348, 0.29385853628130404, 0.353070731859348]),
+    (
+        [0.0, 1.0, 2.0, 3.5, 5.0],
+        [0.33420636374603097, 0.19588879473207355, 0.0, 0.4699048415218956, 0.0],
+    ),
+    ([0.0, 1.0, 2.5], [0.5, 0.0, 0.5]),
+]
+
+
 def test_hull_nearest_weights_achieve_the_distance():
     rng = np.random.default_rng(5)
-    for trial in range(25):
-        n = int(rng.integers(1, 7))
-        phases = rng.uniform(0, 2 * np.pi, size=n)
+    for phases, pinned in PINNED_HULL_WEIGHTS:
+        assert hull_nearest_weights(phases).tolist() == pinned
+    random_inputs = [rng.uniform(0, 2 * np.pi, size=int(rng.integers(1, 7))) for _ in range(25)]
+    for phases in [np.array(p) for p, _ in PINNED_HULL_WEIGHTS] + random_inputs:
         w = hull_nearest_weights(phases)
         assert w.min() >= 0 and w.sum() == pytest.approx(1.0, abs=1e-12)
         z = w @ np.exp(1j * phases)
