@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
     HERMITIAN_ATOL,
-    UNITARY_ATOL,
     as_complex,
     check_dim,
+    check_open_unit,
+    check_unitary,
     from_pairs,
     hermiticity_defect,
-    is_unitary,
     ket,
-    unitarity_defect,
 )
 
 # Entrywise tolerance on sum_i K_i†K_i = I and on the Choi minimum eigenvalue.
@@ -36,6 +35,9 @@ CPTP_ATOL = 1e-10
 # State validation thresholds for apply()/apply_on_A().
 STATE_TRACE_ATOL = 1e-10
 STATE_EIG_FLOOR = -1e-10
+
+# The ensemble weights of the built-in mixed-unitary pairs when none are given.
+EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 
 
 class CPTPError(ValueError):
@@ -97,13 +99,6 @@ class Channel:
         return self.kraus.shape[1]
 
 
-def _check_probability(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
-    return value
-
-
 def _validate_state(rho, dim: int) -> np.ndarray:
     rho = as_complex(rho)
     if rho.shape != (dim, dim):
@@ -161,7 +156,7 @@ def make_depolarizing(d: int, q: float) -> Channel:
     carries (1-q)/d^2, which reproduces the affine action exactly.
     """
     d = check_dim(d)
-    q = _check_probability("q", q)
+    q = check_open_unit("q", q)
     w = (1.0 - q) / d**2
     kraus = (np.sqrt(q + w) * np.eye(d, dtype=complex), *(np.sqrt(w) * _weyl_operators(d)))
     return Channel(kraus)
@@ -174,7 +169,7 @@ def make_dephasing(d: int, r: float) -> Channel:
     branch acts as Z rho Z†; for qubits this is the usual phase flip.
     """
     d = check_dim(d)
-    r = _check_probability("r", r)
+    r = check_open_unit("r", r)
     kraus = (np.sqrt(r) * np.eye(d, dtype=complex), np.sqrt(1.0 - r) * clock_matrix(d))
     return Channel(kraus)
 
@@ -184,11 +179,8 @@ def make_generalized_dephasing(u, r: float) -> Channel:
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
         raise ValueError(f"u must be a square matrix of size at least 2, got shape {u.shape}")
-    if not is_unitary(u):
-        raise ValueError(
-            f"u is not unitary within {UNITARY_ATOL:.0e} (residual {unitarity_defect(u):.3e})"
-        )
-    r = _check_probability("r", r)
+    check_unitary("u", u)
+    r = check_open_unit("r", r)
     d = u.shape[0]
     kraus = (np.sqrt(r) * np.eye(d, dtype=complex), np.sqrt(1.0 - r) * u)
     return Channel(kraus)
@@ -196,7 +188,7 @@ def make_generalized_dephasing(u, r: float) -> Channel:
 
 def make_amplitude_damping(mu: float) -> Channel:
     """Qubit amplitude damping with Kraus |0><0| + sqrt(mu)|1><1| and sqrt(1-mu)|0><1|."""
-    mu = _check_probability("mu", mu)
+    mu = check_open_unit("mu", mu)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(mu)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(1.0 - mu)], [0.0, 0.0]], dtype=complex)
     return Channel((k0, k1))
@@ -221,43 +213,25 @@ def make_mixed_unitary(unitaries: Sequence, weights: Sequence[float]) -> Channel
             f"{[u.shape for u in us]}"
         )
     for u in us:
-        if not is_unitary(u):
-            raise ValueError(
-                f"ensemble member is not unitary within {UNITARY_ATOL:.0e} "
-                f"(residual {unitarity_defect(u):.3e})"
-            )
+        check_unitary("ensemble member", u)
     return Channel([np.sqrt(q) * u for q, u in zip(ws, us)])
 
 
-def _basis_op(d: int, entries: Iterable[tuple[int, int, complex]]) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    for i, j, c in entries:
-        m[i, j] = c
-    return m
-
-
-def mixed_unitary_pair_d3(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> tuple[Channel, Channel]:
+def mixed_unitary_pair_d3(weights: Sequence[float] = EQUAL_WEIGHTS) -> tuple[Channel, Channel]:
     """Two qutrit mixed-unitary channels distinguishable only with entanglement.
 
-    The first ensemble mixes {identity, the cyclic shift, a sign flip on |0>};
-    the second mixes the inverse shift and two signed cyclic permutations. No
+    With X the cyclic shift and F = diag(-1, 1, 1) a sign flip on |0>, the
+    first ensemble mixes {I, X, F} and the second {X†, XF, X†F}. No
     single-system probe separates them perfectly, a maximally entangled probe
     does not either, but a suitably weighted three-term entangled probe does.
     """
-    first = [
-        _basis_op(3, [(0, 0, 1), (1, 1, 1), (2, 2, 1)]),
-        _basis_op(3, [(1, 0, 1), (2, 1, 1), (0, 2, 1)]),
-        _basis_op(3, [(0, 0, -1), (1, 1, 1), (2, 2, 1)]),
-    ]
-    second = [
-        _basis_op(3, [(2, 0, 1), (0, 1, 1), (1, 2, 1)]),
-        _basis_op(3, [(1, 0, -1), (2, 1, 1), (0, 2, 1)]),
-        _basis_op(3, [(2, 0, -1), (0, 1, 1), (1, 2, 1)]),
-    ]
+    x, flip = shift_matrix(3), np.diag([-1.0, 1.0, 1.0])
+    first = [np.eye(3), x, flip]
+    second = [x.T, x @ flip, x.T @ flip]
     return make_mixed_unitary(first, weights), make_mixed_unitary(second, weights)
 
 
-def mixed_unitary_pair_d6(weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> tuple[Channel, Channel]:
+def mixed_unitary_pair_d6(weights: Sequence[float] = EQUAL_WEIGHTS) -> tuple[Channel, Channel]:
     """Two dimension-6 mixed-unitary channels separated perfectly by |0>.
 
     Both ensembles mix transpositions of basis vectors: the first swaps |0>
@@ -283,7 +257,7 @@ def make_erasure(d: int, eps: float) -> Channel:
     and |e> is the added last basis vector, orthogonal to every input state.
     """
     d = check_dim(d)
-    eps = _check_probability("eps", eps)
+    eps = check_open_unit("eps", eps)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
     flag = ket(d + 1, d)

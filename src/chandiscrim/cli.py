@@ -330,11 +330,12 @@ def _parse_param_spec(text: str) -> tuple[str, list[float]]:
     return name, [float(spec)]
 
 
-_SWEEP_CLASSES = ("maxent-closed", "nonmax-closed", "optimize-ent", "optimize-single", "single-closed")
-
-
 # The sweep classes that run the optimizer, with the probe class each searches.
 _SWEEP_SEARCHES = {"optimize-single": "single", "optimize-ent": "general_entangled"}
+# Every sweep class: "<kind>-closed" for each closed kind in FAMILIES, and the searches.
+_SWEEP_CLASSES = tuple(
+    sorted({f"{k}-closed" for fam in FAMILIES.values() for k in fam.closed} | set(_SWEEP_SEARCHES))
+)
 
 
 def _sweep_closed(family: str, values: dict, probe_class: str) -> tuple[float, dict]:

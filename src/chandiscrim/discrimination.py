@@ -13,12 +13,14 @@ its closed forms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .channels import (
+    EQUAL_WEIGHTS,
     Channel,
     make_amplitude_damping,
     make_depolarizing,
@@ -32,6 +34,8 @@ from .linalg import (
     UNITARY_ATOL,
     as_complex,
     check_dim,
+    check_open_unit,
+    check_unit,
     hermitian_eig,
     is_unitary,
     unitary_eigenphases,
@@ -59,16 +63,9 @@ class DiscriminationResult:
     optimizer_meta: dict | None = None
 
 
-def _check_unit(name: str, x) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:  # also rejects nan
-        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    return x
-
-
 def _check_noise(name: str, x1, x2) -> tuple[float, float]:
     """Both noise parameters of a closed form (q1 and q2 for ``name`` "q"), each in [0, 1]."""
-    return _check_unit(f"{name}1", x1), _check_unit(f"{name}2", x2)
+    return check_unit(f"{name}1", x1), check_unit(f"{name}2", x2)
 
 
 def helstrom(rho1, rho2, p1: float = 0.5) -> float:
@@ -79,7 +76,7 @@ def helstrom(rho1, rho2, p1: float = 0.5) -> float:
         raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
     if not (np.isfinite(rho1).all() and np.isfinite(rho2).all()):
         raise ValueError("states must have finite entries")
-    p1 = _check_unit("p1", p1)
+    p1 = check_unit("p1", p1)
     diff = p1 * rho1 - (1.0 - p1) * rho2
     return 0.5 * (1.0 + float(np.abs(hermitian_eig(diff)).sum()))
 
@@ -132,7 +129,7 @@ def _fixed_probe_value(ch1: Channel, ch2: Channel, psi: np.ndarray, p1: float) -
         raise ValueError(
             f"probe dimension {psi.shape[0]} does not match channel input {ch1.dim_in}"
         )
-    p1 = _check_unit("p1", p1)
+    p1 = check_unit("p1", p1)
     return float(helstrom_pure(ch1.kraus, ch2.kraus, psi[None], p1)[0])
 
 
@@ -179,7 +176,7 @@ def depolarizing_nonmax_closed(g: float, q1: float, q2: float) -> float:
     the entanglement of the probe and maximal at g = 1/2, where it reproduces
     the maximally entangled value.
     """
-    g = _check_unit("g", g)
+    g = check_unit("g", g)
     q1, q2 = _check_noise("q", q1, q2)
     norm = 0.5 + 0.5 * np.sqrt(1.0 + 12.0 * g * (1.0 - g))
     return 0.5 * (1.0 + 0.5 * abs(q1 - q2) * norm)
@@ -191,6 +188,28 @@ def dephasing_closed(r1: float, r2: float) -> float:
     return 0.5 * (1.0 + abs(r1 - r2))
 
 
+def _circle_walk(phases, merge: bool = False):
+    """Unit-circle points by angle: the phases mod 2*pi sorted, their order, and the gaps.
+
+    Gap k is the arc from sorted point k to the next; the last one wraps
+    around to the first point. With ``merge``, a point within 1e-12 of the
+    one before it (0 and 2*pi are the same point) is dropped first, with its
+    entry in the order.
+    """
+    raw = np.mod(np.asarray(list(phases), dtype=float), 2.0 * np.pi)
+    if raw.size == 0:
+        raise ValueError("need at least one phase")
+    order = np.argsort(raw)
+    pts = raw[order]
+    if merge:
+        keep = np.ones(pts.size, dtype=bool)
+        keep[1:] = np.diff(pts) > 1e-12
+        if pts.size > 1 and (2.0 * np.pi - pts[-1]) + pts[0] <= 1e-12:
+            keep[-1] = False
+        pts, order = pts[keep], order[keep]
+    return pts, order, np.diff(pts, append=pts[0] + 2.0 * np.pi)
+
+
 def hull_min_distance(phases: Sequence[float]) -> float:
     """Distance from the origin to the convex hull of unit-circle points.
 
@@ -200,18 +219,7 @@ def hull_min_distance(phases: Sequence[float]) -> float:
     the nearest hull point is then the midpoint of the chord closing that
     gap, at distance cos(s/2) for chord arc-length s = 2*pi - gap.
     """
-    pts = np.mod(np.asarray(list(phases), dtype=float), 2.0 * np.pi)
-    if pts.size == 0:
-        raise ValueError("need at least one phase")
-    pts = np.sort(pts)
-    keep = np.ones(pts.size, dtype=bool)
-    keep[1:] = np.diff(pts) > 1e-12
-    # 0 and 2*pi are the same point
-    if pts.size > 1 and (2.0 * np.pi - pts[-1]) + pts[0] <= 1e-12:
-        keep[-1] = False
-    pts = pts[keep]
-    gaps = np.diff(pts, append=pts[0] + 2.0 * np.pi)
-    widest = float(gaps.max())
+    widest = float(_circle_walk(phases, merge=True)[2].max())
     if widest <= np.pi:
         return 0.0
     return float(np.cos((2.0 * np.pi - widest) / 2.0))
@@ -255,50 +263,32 @@ def hull_nearest_weights(phases: Sequence[float]) -> np.ndarray:
     lies outside, the two points bounding the widest arc gap share the weight
     equally (the nearest hull point is that chord's midpoint).
     """
-    raw = np.mod(np.asarray(list(phases), dtype=float), 2.0 * np.pi)
-    if raw.size == 0:
-        raise ValueError("need at least one phase")
-    order = np.argsort(raw)
-    sorted_phases = raw[order]
-    weights = np.zeros(raw.size)
-    if raw.size == 1:
-        weights[0] = 1.0
-        return weights
-
-    gaps = np.diff(sorted_phases, append=sorted_phases[0] + 2.0 * np.pi)
+    pts, order, gaps = _circle_walk(phases)
+    weights = np.zeros(pts.size)
     widest = int(np.argmax(gaps))
-    if gaps[widest] > np.pi:
+    if gaps[widest] > np.pi:  # also a single point, whose one gap is 2*pi
         weights[order[widest]] += 0.5
-        weights[order[(widest + 1) % raw.size]] += 0.5
+        weights[order[(widest + 1) % pts.size]] += 0.5
         return weights
 
-    pts = np.exp(1j * sorted_phases)
+    z = np.exp(1j * pts)
     # Antipodal pair through the origin.
-    for i in range(raw.size):
-        for j in range(i + 1, raw.size):
-            if abs(pts[i] + pts[j]) <= 1e-9:
-                weights[order[i]] = weights[order[j]] = 0.5
-                return weights
+    for i, j in itertools.combinations(range(pts.size), 2):
+        if abs(z[i] + z[j]) <= 1e-9:
+            weights[order[[i, j]]] = 0.5
+            return weights
     # Otherwise some triangle of points contains the origin (Caratheodory).
-    for i in range(raw.size):
-        for j in range(i + 1, raw.size):
-            for k in range(j + 1, raw.size):
-                a = np.array(
-                    [
-                        [pts[i].real, pts[j].real, pts[k].real],
-                        [pts[i].imag, pts[j].imag, pts[k].imag],
-                        [1.0, 1.0, 1.0],
-                    ]
-                )
-                try:
-                    w = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                if np.all(w >= -1e-12):
-                    w = np.clip(w, 0.0, None)
-                    w /= w.sum()
-                    weights[order[i]], weights[order[j]], weights[order[k]] = w
-                    return weights
+    for triple in itertools.combinations(range(pts.size), 3):
+        corners = z[list(triple)]
+        a = np.array([corners.real, corners.imag, np.ones(3)])
+        try:
+            w = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(w >= -1e-12):
+            w = np.clip(w, 0.0, None)
+            weights[order[list(triple)]] = w / w.sum()
+            return weights
     raise ValueError("could not decompose the nearest hull point into convex weights")
 
 
@@ -319,10 +309,7 @@ def _hull_probe(eig) -> PureProbe:
 
 
 def _ordered_mu(mu1: float, mu2: float) -> tuple[float, float]:
-    mu1, mu2 = float(mu1), float(mu2)
-    for name, v in (("mu1", mu1), ("mu2", mu2)):
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"{name} must lie strictly in (0, 1), got {v!r}")
+    mu1, mu2 = check_open_unit("mu1", mu1), check_open_unit("mu2", mu2)
     return (mu1, mu2) if mu1 >= mu2 else (mu2, mu1)
 
 
@@ -366,9 +353,7 @@ def ad_nonmax_norm(p: float, mu1: float, mu2: float) -> float:
     At p = 1/2 this reduces to the maximally entangled trace norm; the
     corresponding probability is 1/2 + (norm)/4.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
+    p = check_open_unit("p", p)
     mu1, mu2 = _ordered_mu(mu1, mu2)
     diff = mu1 - mu2
     root_gap = np.sqrt(mu1) - np.sqrt(mu2)
@@ -509,7 +494,7 @@ def _make_amplitude_damping(v: dict):
 
 
 def _make_mixed_unitary(v: dict, dim: int):
-    weights = v.get("weights", (1 / 3, 1 / 3, 1 / 3))
+    weights = v.get("weights", EQUAL_WEIGHTS)
     maker = mixed_unitary_pair_d3 if dim == 3 else mixed_unitary_pair_d6
     ch1, ch2 = maker(weights)
     return ch1, ch2, {"d": dim, "weights": list(weights)}

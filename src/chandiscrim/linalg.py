@@ -52,6 +52,29 @@ def check_dim(d) -> int:
     return d
 
 
+def check_unit(name: str, x) -> float:
+    """``x`` as a float in [0, 1]: a prior, or a noise parameter of a closed form."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:  # also rejects nan
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+    return x
+
+
+def check_open_unit(name: str, x) -> float:
+    """``x`` as a float strictly inside (0, 1): a channel's noise strength, a Schmidt weight."""
+    x = float(x)
+    if not 0.0 < x < 1.0:  # also rejects nan
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {x!r}")
+    return x
+
+
+def check_unitary(name: str, u) -> None:
+    """Raise ``ValueError`` unless the square matrix ``u`` is unitary within ``UNITARY_ATOL``."""
+    defect = unitarity_defect(u)
+    if not defect <= UNITARY_ATOL:  # also rejects nan
+        raise ValueError(f"{name} is not unitary within {UNITARY_ATOL:.0e} (residual {defect:.3e})")
+
+
 def ket(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in dimension ``dim`` (see ``check_dim``)."""
     dim = check_dim(dim)
@@ -96,12 +119,7 @@ def unitary_eigenphases(u) -> list[tuple[float, np.ndarray]]:
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary_eigenphases expects a square matrix, got {u.shape}")
-    defect = unitarity_defect(u)
-    if defect > UNITARY_ATOL:
-        raise ValueError(
-            f"matrix is not unitary: max|U†U - I| = {defect:.3e} "
-            f"exceeds {UNITARY_ATOL:.0e}"
-        )
+    check_unitary("u", u)
     rng = np.random.default_rng(0)
     re = (u + u.conj().T) / 2.0
     im = (u - u.conj().T) / 2.0j

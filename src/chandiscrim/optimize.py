@@ -54,11 +54,10 @@ from .channels import Channel
 from .discrimination import (
     DiscriminationResult,
     _check_same_dims,
-    _check_unit,
     helstrom_pure,
     pure_difference,
 )
-from .linalg import ket
+from .linalg import check_unit, ket
 from .probes import (
     PureProbe,
     basis_probe,
@@ -224,7 +223,7 @@ def optimize_pairs(
     for i, (ch1, ch2) in enumerate(pairs):
         _check_same_dims(ch1, ch2)
         groups.setdefault((ch1.kraus.shape, ch2.kraus.shape), []).append(i)
-    p1 = _check_unit("p1", p1)
+    p1 = check_unit("p1", p1)
     opts = opts or OptimizerOptions()
     single = probe_class == "single"
     results: list = [None] * len(pairs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex, check_dim, ket, to_pairs
+from .linalg import as_complex, check_dim, check_open_unit, check_unit, ket, to_pairs
 
 NORM_ATOL = 1e-12
 
@@ -87,18 +87,14 @@ def nonmax_qubit(g: float, z: float = 0.0) -> PureProbe:
 
     g = 1/2 is the maximally entangled point; g = 0 or 1 is a product state.
     """
-    g = float(g)
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"g must lie in [0, 1], got {g!r}")
+    g = check_unit("g", g)
     v = np.diag([np.sqrt(g), np.exp(1j * z) * np.sqrt(1.0 - g)])
     return PureProbe(v / np.linalg.norm(v))
 
 
 def schmidt_pair(p: float) -> PureProbe:
     """Two-qubit probe sqrt(p)|00> + sqrt(1-p)|11> with p strictly inside (0, 1)."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
+    p = check_open_unit("p", p)
     return PureProbe(np.diag([np.sqrt(p), np.sqrt(1.0 - p)]))
 
 
@@ -122,7 +118,7 @@ def zeta_probe(c1: complex, c2: complex) -> PureProbe:
 def random_pure(dim: int, seed) -> PureProbe:
     """Haar-random single-system probe (normalized complex Gaussian), deterministic per seed."""
     dim = check_dim(dim)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through as it is
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureProbe(v / np.linalg.norm(v))
 
@@ -130,7 +126,7 @@ def random_pure(dim: int, seed) -> PureProbe:
 def random_bipartite(dim_a: int, dim_b: int, seed) -> PureProbe:
     """Haar-random bipartite probe on C^dim_a (x) C^dim_b."""
     dim_a, dim_b = check_dim(dim_a), check_dim(dim_b)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through as it is
     n = dim_a * dim_b
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureProbe((v / np.linalg.norm(v)).reshape(dim_a, dim_b))
