@@ -33,28 +33,6 @@ def projector(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def partial_trace(m, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
-    """Trace out one factor of a bipartite operator on C^dim_a (x) C^dim_b.
-
-    ``keep`` selects the surviving subsystem, "A" or "B". The input must be
-    square of size dim_a*dim_b; the full trace is preserved.
-    """
-    m = np.asarray(m, dtype=complex)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(
-            f"partial_trace expects a {n}x{n} matrix for dims ({dim_a},{dim_b}), "
-            f"got {m.shape}"
-        )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    tag = keep.upper()
-    if tag == "A":
-        return np.einsum("abcb->ac", t)
-    if tag == "B":
-        return np.einsum("abac->bc", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
 def random_unitary(dim: int, rng) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
