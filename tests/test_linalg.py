@@ -168,6 +168,9 @@ def test_unitary_eigenphases_degenerate_and_invalid():
     message = "u is not unitary within 1e-10 (residual 1.000e+00)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         unitary_eigenphases(np.array([[1, 1], [0, 1]], dtype=complex))
+    # a nan matrix used to pass the check and fail only after eight eigen-solves
+    with pytest.raises(ValueError, match=r"^u is not unitary within 1e-10 \(residual nan\)$"):
+        unitary_eigenphases(np.full((2, 2), np.nan))
 
 
 def test_pairs_round_trip():
