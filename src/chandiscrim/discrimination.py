@@ -278,8 +278,8 @@ def hull_nearest_weights(phases: Sequence[float]) -> np.ndarray:
             weights[order[[i, j]]] = 0.5
             return weights
     # Otherwise some triangle of points contains the origin (Caratheodory).
-    for triple in itertools.combinations(range(pts.size), 3):
-        corners = z[list(triple)]
+    for i, j, k in itertools.combinations(range(pts.size), 3):
+        corners = z[[i, j, k]]
         a = np.array([corners.real, corners.imag, np.ones(3)])
         try:
             w = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
@@ -287,7 +287,7 @@ def hull_nearest_weights(phases: Sequence[float]) -> np.ndarray:
             continue
         if np.all(w >= -1e-12):
             w = np.clip(w, 0.0, None)
-            weights[order[list(triple)]] = w / w.sum()
+            weights[order[[i, j, k]]] = w / w.sum()
             return weights
     raise ValueError("could not decompose the nearest hull point into convex weights")
 
