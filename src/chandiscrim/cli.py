@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -144,13 +145,20 @@ def _family_values(family: str, given: dict, flag: str, args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _parse_kv(text: str, what: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse_kv(text: str, head: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The ``key=value`` pairs of a ``head:`` spec; ``keys[0]`` is required, the rest optional."""
+    pairs = []
     for piece in text.split(","):
         if "=" not in piece:
-            raise ValueError(f"malformed {what} spec near {piece!r}")
-        key, value = piece.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise ValueError(f"malformed {head} probe spec near {piece!r}")
+        pairs.append(tuple(part.strip() for part in piece.split("=", 1)))
+    out = dict(pairs)
+    if keys[0] not in out:
+        raise ValueError(f"{head} probe spec must give {keys[0]}, e.g. {head}:{keys[0]}=0.3")
+    for i, (key, _) in enumerate(pairs):  # an unknown or repeated key is never dropped in silence
+        if key not in keys or key in dict(pairs[:i]):
+            fault = "repeats" if key in keys else "takes no"
+            raise ValueError(f"{head} probe spec {fault} key {key!r}; its keys: {', '.join(keys)}")
     return out
 
 
@@ -180,8 +188,8 @@ def _fixed_single_probe(body: str, dim: int):
             raise ValueError(f"bad basis probe spec {body!r}") from exc
         return basis_probe(dim, index)
     if body.startswith("theta="):
-        kv = _parse_kv(body, "single probe")
-        theta = _finite("theta", kv.get("theta", "0"))
+        kv = _parse_kv(body, "single", ("theta", "delta"))
+        theta = _finite("theta", kv["theta"])
         delta = _finite("delta", kv.get("delta", "0"))
         if dim != 2:
             raise ValueError("theta/delta probes are qubit-only")
@@ -192,9 +200,46 @@ def _fixed_single_probe(body: str, dim: int):
     )
 
 
-def _closed_result(entry: tuple, probe_class: str) -> DiscriminationResult:
-    value, probe, _ = entry
-    return DiscriminationResult(value, probe_class=probe_class, probe=probe, method="closed_form")
+# The optimizer specs, with the probe class each searches; eval and sweep share them.
+_SEARCHES = {"optimize-single": "single", "optimize-ent": "general_entangled"}
+
+
+def _parse_probe_spec(spec: str, fam, d: int):
+    """``(probe_class, kind, given, build)`` of a spec; its qubit/qutrit rules hold at any prior.
+
+    ``kind`` names the ``fam.closed`` entry that answers the spec (or None),
+    ``given`` the values the spec adds to it, and ``build()`` makes the
+    spec's own probe (``build`` is None for a spec with no probe of its own).
+    """
+    head, _, body = spec.strip().partition(":")
+    if head in ("single", "product") and not body:
+        return head, "single", {}, None
+    if head == "single":
+        return "single", None, {}, lambda: _fixed_single_probe(body, d)
+    if head == "maxent" and not body:
+        return "max_entangled", "maxent", {}, lambda: max_entangled(d)
+    if head in ("nonmax", "schmidt"):
+        name = "g" if head == "nonmax" else "p"
+        kv = _parse_kv(body, head, (name, "z") if head == "nonmax" else (name,))
+        x = _finite(name, kv[name])
+        z = _finite("z", kv.get("z", "0"))
+        if d != 2:
+            raise ValueError(f"{head}:{name} probes are qubit probes; channel input must be 2")
+        kind = "nonmax" if fam is not None and fam.probe_param == name else None
+        build = (lambda: nonmax_qubit(x, z)) if head == "nonmax" else (lambda: schmidt_pair(x))
+        return head, kind, {name: x, "z": z}, build
+    if head == "zeta":
+        c1, c2 = _parse_zeta(body)
+        if d != 3:
+            raise ValueError("zeta probes live on qutrits; channel input must be 3")
+        return "zeta", None, {}, lambda: zeta_probe(c1, c2)
+    if head == "product":
+        return "product", None, {}, lambda: product_probe(_fixed_single_probe(body, d), basis_probe(2))
+    raise ValueError(
+        f"unknown probe class {spec!r}; expected single, product, maxent, "
+        f"nonmax:g=<x>, schmidt:p=<x>, zeta:c1=<re>,<im>,c2=<re>,<im>, "
+        f"single:|k>, single:uniform, optimize-single, or optimize-ent"
+    )
 
 
 def evaluate_probe_class(
@@ -206,68 +251,31 @@ def evaluate_probe_class(
     p1: float,
     opts: OptimizerOptions,
 ) -> DiscriminationResult:
-    """Dispatch a probe-class spec onto closed forms, fixed probes, or optimizers.
+    """An optimizer spec's search; else the family's closed form at p1 = 0.5, else the spec's probe.
 
     ``family`` names a ``FAMILIES`` entry whose closed forms read ``values``;
     any other name (the CLI uses "custom") has no closed forms.
     """
     spec = probe_spec.strip()
-    head, _, body = spec.partition(":")
+    if spec in _SEARCHES:
+        run = optimize_single if _SEARCHES[spec] == "single" else optimize_entangled
+        return run(ch1, ch2, opts, p1=p1)
     fam = FAMILIES.get(family)
     closed = fam.closed if fam is not None else {}
-
-    if head in ("single", "product") and not body:
-        if "single" not in closed:
+    probe_class, kind, given, build = _parse_probe_spec(probe_spec, fam, ch1.dim_in)
+    if kind in closed and p1 == 0.5:
+        value, probe, _ = closed[kind]({**values, **given})
+        return DiscriminationResult(value, probe_class, probe, method="closed_form")
+    if build is None:
+        if kind not in closed:
             raise ValueError(
                 f"family {family!r} has no single-probe closed form; use "
                 f"single:|k>, single:uniform, or optimize-single"
             )
-        if p1 != 0.5:
-            raise ValueError("closed forms assume equal priors; drop --p1 or use a fixed probe")
-        return _closed_result(closed["single"](values), head)
-
-    if head == "single" and body:
-        return discrim_fixed_single(ch1, ch2, _fixed_single_probe(body, ch1.dim_in), p1)
-
-    if spec in ("optimize-single", "optimize-ent"):
-        run = optimize_single if spec == "optimize-single" else optimize_entangled
-        return run(ch1, ch2, opts, p1=p1)
-
-    # Every other class, where no closed form applies, is one fixed bipartite probe.
-    if head == "maxent" and not body:
-        if p1 == 0.5 and "maxent" in closed:
-            return _closed_result(closed["maxent"](values), "max_entangled")
-        probe_class, probe = "max_entangled", max_entangled(ch1.dim_in)
-    elif head in ("nonmax", "schmidt"):
-        name = "g" if head == "nonmax" else "p"
-        kv = _parse_kv(body, f"{head} probe")
-        if name not in kv:
-            raise ValueError(f"{head} probe spec must give {name}, e.g. {head}:{name}=0.3")
-        x = _finite(name, kv[name])
-        z = _finite("z", kv.get("z", "0")) if head == "nonmax" else 0.0
-        if p1 == 0.5 and fam is not None and fam.probe_param == name:
-            return _closed_result(closed["nonmax"]({**values, name: x, "z": z}), head)
-        if ch1.dim_in != 2:
-            raise ValueError(f"{head}:{name} probes are qubit probes; channel input must be 2")
-        probe_class = head
-        probe = nonmax_qubit(x, z) if head == "nonmax" else schmidt_pair(x)
-    elif head == "zeta":
-        c1, c2 = _parse_zeta(body)
-        if ch1.dim_in != 3:
-            raise ValueError("zeta probes live on qutrits; channel input must be 3")
-        probe_class, probe = "zeta", zeta_probe(c1, c2)
-    elif head == "product":
-        single = _fixed_single_probe(body, ch1.dim_in)
-        probe_class, probe = "product", product_probe(single, basis_probe(2, 0))
-    else:
-        raise ValueError(
-            f"unknown probe class {probe_spec!r}; expected single, product, maxent, "
-            f"nonmax:g=<x>, schmidt:p=<x>, zeta:c1=<re>,<im>,c2=<re>,<im>, "
-            f"single:|k>, single:uniform, optimize-single, or optimize-ent"
-        )
-    result = discrim_fixed_entangled(ch1, ch2, probe, p1)
-    result.probe_class = probe_class
-    return result
+        raise ValueError("closed forms assume equal priors; drop --p1 or use a fixed probe")
+    probe = build()
+    fixed = discrim_fixed_single if probe.amplitudes.ndim == 1 else discrim_fixed_entangled
+    return dataclasses.replace(fixed(ch1, ch2, probe, p1), probe_class=probe_class)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +338,9 @@ def _parse_param_spec(text: str) -> tuple[str, list[float]]:
     return name, [float(spec)]
 
 
-# The sweep classes that run the optimizer, with the probe class each searches.
-_SWEEP_SEARCHES = {"optimize-single": "single", "optimize-ent": "general_entangled"}
 # Every sweep class: "<kind>-closed" for each closed kind in FAMILIES, and the searches.
 _SWEEP_CLASSES = tuple(
-    sorted({f"{k}-closed" for fam in FAMILIES.values() for k in fam.closed} | set(_SWEEP_SEARCHES))
+    sorted({f"{k}-closed" for fam in FAMILIES.values() for k in fam.closed} | set(_SEARCHES))
 )
 
 
@@ -380,25 +386,22 @@ def cmd_sweep(args) -> int:
 
     axis = ranged if ranged else list(params)[:1]
     grids = [sorted(params[name]) for name in axis]
-    mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
-        (a, b) for a in grids[0] for b in grids[1]
-    ]
     base = _family_values(args.family, {n: vs[0] for n, vs in params.items()}, "--param ", args)
     # Channels and closed forms point by point, so the first bad point reports
     # first; then one optimize_pairs call per optimizer class searches them all.
     points, pairs = [], []
-    for point in mesh:
+    for point in itertools.product(*grids):
         values = {**base, **dict(zip(axis, point))}
         ch1, ch2, report = fam.make(values)
         shown = {n: report.get(n, v) for n, v in values.items() if n in known}
         found = {
             pc: _sweep_closed(args.family, values, pc)
             for pc in probe_classes
-            if pc not in _SWEEP_SEARCHES
+            if pc not in _SEARCHES
         }
         points.append((point, shown, found))
         pairs.append((ch1, ch2))
-    for pc, probe_class in _SWEEP_SEARCHES.items():
+    for pc, probe_class in _SEARCHES.items():
         if pc in probe_classes:
             for (_, _, found), result in zip(points, optimize_pairs(pairs, probe_class, opts)):
                 meta = {k: result.optimizer_meta[k] for k in ("restarts", "iterations", "final_step")}

@@ -55,15 +55,17 @@ def test_eval_identical_dephasing_via_optimizer():
     assert json.loads(proc.stdout)["probability"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_eval_json_round_trips_full_precision():
-    proc = run_main(
-        "eval", "amplitude-damping", "--mu1", "0.04", "--mu2", "0.01",
-        "--probe", "single",
-    )
+def test_eval_json_round_trips_full_precision(tmp_path):
+    argv = ("eval", "amplitude-damping", "--mu1", "0.04", "--mu2", "0.01", "--probe", "single")
+    proc = run_main(*argv)
     assert proc.returncode == 0, proc.stderr
     value = json.loads(proc.stdout)["probability"]
     # shortest round-trip printing: parsing back gives the identical float
     assert value == 0.526207120918048
+    # --out writes exactly the printed JSON
+    out = tmp_path / "eval.json"
+    proc = run_main(*argv, "--out", str(out))
+    assert proc.returncode == 0 and out.read_text() == proc.stdout
 
 
 def test_eval_rejects_bad_parameters(capsys):
@@ -138,6 +140,19 @@ def test_eval_rejects_bad_parameters(capsys):
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    # an unknown or repeated key in a probe spec used to be dropped or overwritten silently
+    bad_keys = [
+        ("schmidt:p=0.3,z=1", "schmidt probe spec takes no key 'z'; its keys: p"),
+        ("nonmax:g=0.3,foo=1", "nonmax probe spec takes no key 'foo'; its keys: g, z"),
+        ("single:theta=1,delta=2,x=3", "single probe spec takes no key 'x'; its keys: theta, delta"),
+        ("nonmax:g=0.3,g=0.4", "nonmax probe spec repeats key 'g'; its keys: g, z"),
+    ]
+    for spec, message in bad_keys:
+        for p1 in ("0.5", "0.3"):
+            assert main(["eval", *ad, "--probe", spec, "--p1", p1]) == 2, spec
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n" and captured.out == ""
+
 
 def test_eval_optimizers_take_a_prior(tmp_path):
     # the optimizers used to refuse p1 != 0.5; a depolarizing pair gives
@@ -189,6 +204,12 @@ def test_eval_gen_dephasing_phases():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["probability"] == pytest.approx(0.65, abs=1e-9)
 
+    proc = run_main(
+        "eval", "gen-dephasing", "--phases", "0.5", "--r1", "0.8", "--r2", "0.2", "--probe", "single"
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --phases needs at least two comma-separated angles\n"
+
 
 def test_sweep_csv_deterministic(tmp_path):
     args = (
@@ -222,13 +243,13 @@ def test_sweep_zero_width_range(tmp_path):
 
 
 def test_sweep_unwritable_path():
-    proc = run_main(
-        "sweep", "depolarizing",
-        "--param", "q1=0.9", "--param", "q2=0.3",
-        "--probes", "single-closed",
-        "--out", "/nonexistent-dir/sweep.csv",
-    )
-    assert proc.returncode == 3
+    sweep = ("sweep", "depolarizing", "--param", "q1=0.9", "--param", "q2=0.3",
+             "--probes", "single-closed")
+    evaluate = ("eval", "depolarizing", "--q1", "0.9", "--q2", "0.3", "--probe", "single")
+    for argv in (sweep, evaluate):
+        proc = run_main(*argv, "--out", "/nonexistent-dir/out.txt")
+        assert proc.returncode == 3, argv
+        assert "cannot write '/nonexistent-dir/out.txt'" in proc.stderr
 
 
 def test_sweep_monotone_g_curve(tmp_path):
@@ -425,9 +446,11 @@ def test_custom_identical_channels(tmp_path):
     ch_dict = channel_to_dict(mixed_unitary_pair_d6()[0])
     path = tmp_path / "same.json"
     path.write_text(json.dumps({"channel1": ch_dict, "channel2": ch_dict}))
-    proc = run_main("custom", str(path), "--probe", "single:|0>")
+    out = tmp_path / "result.json"
+    proc = run_main("custom", str(path), "--probe", "single:|0>", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["probability"] == pytest.approx(0.5, abs=1e-12)
+    assert out.read_text() == proc.stdout
 
 
 def test_custom_dimension6_pair(tmp_path):
@@ -446,6 +469,11 @@ def test_custom_schema_and_cptp_errors(tmp_path):
     bad_schema.write_text(json.dumps({"channel1": {"dim_in": 2}}))
     proc = run_main("custom", str(bad_schema), "--probe", "single:|0>")
     assert proc.returncode == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text(json.dumps({"channel1": [], "channel2": []}))
+    proc = run_main("custom", str(not_object), "--probe", "single:|0>")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: channel JSON must be an object\n"
 
     ch_dict = channel_to_dict(mixed_unitary_pair_d6()[0])
     broken = json.loads(json.dumps(ch_dict))

@@ -11,6 +11,8 @@ of the SHA-256 of its stdout ("" for no output) and its stderr as printed.
 Regenerate the record only for an intended output change, and say why:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints each command line whose record changed or is new.
 """
 
 import hashlib
@@ -27,12 +29,14 @@ FAMILY_ARGS = [
     ("depolarizing", "--d", "3", "--q1", "0.9", "--q2", "0.3"),
     ("dephasing", "--r1", "0.9", "--r2", "0.2"),
     ("dephasing", "--d", "3", "--r1", "0.9", "--r2", "0.2"),
-    # hull cases: widest gap above pi, origin in a triangle, antipodal pair, one point
+    # hull cases: widest gap above pi, origin in a triangle, antipodal pair, one point,
+    # and a repeated phase with the origin inside (a singular triangle is skipped)
     ("gen-dephasing", "--phases", "0,1.0471975511965976", "--r1", "0.8", "--r2", "0.2"),
     ("gen-dephasing", "--phases", "0,1,2.5", "--r1", "0.9", "--r2", "0.2"),
     ("gen-dephasing", "--phases", "0,2,4", "--r1", "0.9", "--r2", "0.2"),
     ("gen-dephasing", "--phases", "0,3.141592653589793", "--r1", "0.9", "--r2", "0.2"),
     ("gen-dephasing", "--phases", "0.5,0.5", "--r1", "0.9", "--r2", "0.2"),
+    ("gen-dephasing", "--phases", "0,0,2,4", "--r1", "0.9", "--r2", "0.2"),
     ("amplitude-damping", "--mu1", "0.04", "--mu2", "0.01"),
     ("amplitude-damping", "--mu1", "0.36", "--mu2", "0.09"),
     ("erasure", "--eps1", "0.8", "--eps2", "0.3"),
@@ -144,6 +148,11 @@ def test_cli_outputs_match_the_record():
 
 
 if __name__ == "__main__":
-    entries = [json.dumps(" ".join(argv)) + ": " + json.dumps(_outcome(argv)) for argv in commands()]
+    old = json.loads(RECORD.read_text()) if RECORD.exists() else {}
+    outcomes = {" ".join(argv): _outcome(argv) for argv in commands()}
+    for line, outcome in outcomes.items():
+        if old.get(line) != outcome:
+            print(line)
+    entries = [json.dumps(line) + ": " + json.dumps(outcome) for line, outcome in outcomes.items()]
     RECORD.write_text("{\n" + ",\n".join(entries) + "\n}\n")
     print(f"recorded {len(entries)} commands in {RECORD}")

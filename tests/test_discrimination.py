@@ -372,6 +372,8 @@ def test_hull_examples():
     for d in (3, 4, 7):
         assert hull_min_distance(2 * np.pi * np.arange(d) / d) == pytest.approx(0.0)
     assert hull_min_distance([0.1, 0.1 + 1e-14]) == pytest.approx(1.0, abs=1e-9)
+    # a point just below 2*pi is merged with the one at 0 across the wrap
+    assert hull_min_distance([0.0, 2 * np.pi - 1e-13, 1.0]) == hull_min_distance([0.0, 1.0])
     with pytest.raises(ValueError):
         hull_min_distance([])
 
@@ -410,7 +412,8 @@ def test_hull_distance_against_constrained_minimizer():
 
 
 # One input per branch of the hull walk, with its weights bit for bit: an
-# antipodal pair, one point, two triangles around the origin, a gap above pi.
+# antipodal pair, one point, two triangles around the origin, a gap above pi,
+# and a repeated point, whose singular first triangle is skipped.
 PINNED_HULL_WEIGHTS = [
     ([0.0, np.pi], [0.5, 0.5]),
     ([1.3], [1.0]),
@@ -420,6 +423,7 @@ PINNED_HULL_WEIGHTS = [
         [0.33420636374603097, 0.19588879473207355, 0.0, 0.4699048415218956, 0.0],
     ),
     ([0.0, 1.0, 2.5], [0.5, 0.0, 0.5]),
+    ([0.0, 0.0, 2.0, 4.0], [0.353070731859348, 0.0, 0.29385853628130404, 0.353070731859348]),
 ]
 
 
@@ -427,6 +431,8 @@ def test_hull_nearest_weights_achieve_the_distance():
     rng = np.random.default_rng(5)
     for phases, pinned in PINNED_HULL_WEIGHTS:
         assert hull_nearest_weights(phases).tolist() == pinned
+        z = np.array(pinned) @ np.exp(1j * np.array(phases))
+        assert abs(abs(z) - hull_min_distance(phases)) <= 1e-15, phases
     random_inputs = [rng.uniform(0, 2 * np.pi, size=int(rng.integers(1, 7))) for _ in range(25)]
     for phases in [np.array(p) for p, _ in PINNED_HULL_WEIGHTS] + random_inputs:
         w = hull_nearest_weights(phases)
