@@ -3,11 +3,10 @@
 Channel families covered: depolarizing, dephasing (plus its arbitrary-unitary
 generalization), qubit amplitude damping, mixed-unitary ensembles (including
 two built-in pairs used as discrimination witnesses), and erasure. A channel
-keeps its Kraus operators as one read-only stack, ``Channel.kraus``, checked
-at build time for trace preservation and complete positivity: one matrix
-product gives sum_i K_i†K_i, one more the Choi matrix, and one ``eigvalsh``
-its minimum eigenvalue. The depolarizing family scales Weyl operators that are
-built once per dimension and kept read-only in a small cache.
+keeps its Kraus operators as one read-only stack, ``Channel.kraus``, checked at
+build time for trace preservation only: a Kraus set is completely positive by
+construction, so its Choi eigenvalues are computed only to report a failure.
+Depolarizing Kraus sets scale Weyl operators cached read-only per dimension.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .linalg import (
     ket,
 )
 
-# Entrywise tolerance on sum_i K_i†K_i = I and on the Choi minimum eigenvalue.
+# Entrywise tolerance on sum_i K_i†K_i = I.
 CPTP_ATOL = 1e-10
 
 # State validation thresholds for apply()/apply_on_A().
@@ -41,7 +40,7 @@ EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 
 
 class CPTPError(ValueError):
-    """Raised when a Kraus set fails trace preservation or complete positivity."""
+    """Raised when a Kraus set is not trace preserving (it is always completely positive)."""
 
     def __init__(self, message: str, tp_residual: float, choi_min_eigenvalue: float):
         super().__init__(message)
@@ -54,9 +53,9 @@ class Channel:
     """A CPTP map stored as its Kraus operators, stacked.
 
     ``kraus`` is a read-only (n, dim_out, dim_in) copy of the operators given
-    (matrices or a stack), with sum_i K_i†K_i = I and a positive-semidefinite
-    Choi matrix (both within ``CPTP_ATOL``); it indexes and iterates as the
-    operators, and its shape gives ``dim_in`` and ``dim_out``.
+    (matrices or a stack), with sum_i K_i†K_i = I within ``CPTP_ATOL``; its Choi
+    matrix is positive semidefinite by construction. It indexes and iterates as
+    the operators, and its shape gives ``dim_in`` and ``dim_out``.
     """
 
     kraus: np.ndarray
@@ -81,13 +80,12 @@ class Channel:
         rows = stack.reshape(-1, self.dim_in)
         tp = rows.conj().T @ rows
         tp_residual = float(np.max(np.abs(tp - np.eye(self.dim_in))))
-        choi_min = float(np.linalg.eigvalsh(choi(self)).min())
-        if tp_residual > CPTP_ATOL or choi_min < -CPTP_ATOL:
+        if tp_residual > CPTP_ATOL:
+            choi_min = float(np.linalg.eigvalsh(choi(self)).min())
             raise CPTPError(
                 f"Kraus set is not CPTP: sum K†K residual = {tp_residual:.3e}, "
                 f"min Choi eigenvalue = {choi_min:.3e}",
-                tp_residual=tp_residual,
-                choi_min_eigenvalue=choi_min,
+                tp_residual=tp_residual, choi_min_eigenvalue=choi_min,
             )
 
     @property

@@ -167,10 +167,12 @@ def _parse_zeta(body: str) -> tuple[complex, complex]:
     marker = ",c2="
     if not body.startswith("c1=") or marker not in body:
         raise ValueError("zeta probe spec must look like zeta:c1=<re>,<im>,c2=<re>,<im>")
-    left, right = body.split(marker, 1)
+    sides = [side.split(",") for side in body[len("c1="):].split(marker, 1)]
+    for name, side in zip(("c1", "c2"), sides):
+        if len(side) != 2:
+            raise ValueError(f"zeta probe {name} needs 2 components <re>,<im>, got {len(side)}")
     try:
-        re1, im1 = (float(x) for x in left[len("c1="):].split(","))
-        re2, im2 = (float(x) for x in right.split(","))
+        re1, im1, re2, im2 = (float(x) for x in sides[0] + sides[1])
     except ValueError as exc:
         raise ValueError(f"zeta probe spec has non-numeric components: {exc}") from exc
     for x in (re1, im1, re2, im2):

@@ -3,6 +3,7 @@ import pytest
 
 from chandiscrim import channels
 from chandiscrim.channels import (
+    CPTP_ATOL,
     CPTPError,
     Channel,
     apply,
@@ -20,6 +21,7 @@ from chandiscrim.channels import (
     mixed_unitary_pair_d6,
     shift_matrix,
 )
+from chandiscrim.discrimination import FAMILIES
 from chandiscrim.linalg import ket
 from chandiscrim.probes import max_entangled, uniform_superposition
 from helpers import channel_to_dict, projector, random_unitary, stinespring_channel
@@ -534,6 +536,63 @@ def test_scaled_kraus_residuals_match_loop_form():
         assert tp_residual > 1e-10
         assert abs(err.value.tp_residual - tp_residual) <= 1e-15
         assert abs(err.value.choi_min_eigenvalue - choi_min) <= 1e-15
+
+
+def test_trace_preserving_kraus_sets_have_no_negative_choi_eigenvalue():
+    # The Choi matrix of a Kraus set is the Gram sum of vec(K_i)vec(K_i)†, so a
+    # build needs no complete-positivity check: on trace-preserving stacks, those
+    # whose sum K†K residual sits just under CPTP_ATOL included, the computed
+    # minimum eigenvalue stays within rounding of zero, far above -CPTP_ATOL.
+    rng = np.random.default_rng(2026)
+    near = (np.sqrt(1 + 0.99 * CPTP_ATOL), np.sqrt(1 - 0.99 * CPTP_ATOL))
+    for _ in range(150):
+        dim_in, dim_out = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        branches = int(rng.integers(-(-dim_in // dim_out), 41))  # an isometry needs dim_in rows
+        kraus = stinespring_channel(rng, dim_in, dim_out, branches).kraus
+        for scale in (1.0, *near):
+            ch = Channel(scale * kraus)
+            if scale != 1.0:
+                assert 0.9 * CPTP_ATOL < loop_tp_residual(ch.kraus, dim_in) <= CPTP_ATOL
+            assert np.linalg.eigvalsh(choi(ch)).min() >= -1e-12
+
+
+def test_channels_build_without_the_choi_matrix(monkeypatch):
+    class ChoiCalled(Exception):
+        pass
+
+    def no_choi(ch):
+        raise ChoiCalled
+
+    family_values = {
+        "depolarizing": {"d": 6, "q1": 0.9, "q2": 0.3},
+        "dephasing": {"d": 6, "r1": 0.85, "r2": 0.2},
+        "gen-dephasing": {"r1": 0.9, "r2": 0.2, "u": np.diag(np.exp(1j * np.array([0, 1, 2.5])))},
+        "amplitude-damping": {"mu1": 0.04, "mu2": 0.01},
+        "erasure": {"d": 6, "eps1": 0.8, "eps2": 0.3},
+        "mixed-unitary-d3": {"weights": (0.5, 0.25, 0.25)},
+        "mixed-unitary-d6": {},
+    }
+    assert set(family_values) == set(FAMILIES)
+    custom = channel_to_dict(stinespring_channel(np.random.default_rng(4), 3, 2, 5))
+    monkeypatch.setattr(channels, "choi", no_choi)
+    for family, values in family_values.items():
+        ch1, ch2, _ = FAMILIES[family].make(values)
+        assert isinstance(ch1, Channel) and isinstance(ch2, Channel)
+    for pair in (mixed_unitary_pair_d3, mixed_unitary_pair_d6):
+        assert all(isinstance(ch, Channel) for ch in pair())
+    assert channel_from_dict(custom).kraus.shape == (5, 2, 3)
+
+    # only a stack that fails trace preservation reaches choi(), for its message
+    scaled = 1.05 * make_depolarizing(3, 0.4).kraus
+    with pytest.raises(ChoiCalled):
+        Channel(scaled)
+    calls = []
+    monkeypatch.setattr(channels, "choi", lambda ch: calls.append(ch) or choi(ch))
+    with pytest.raises(CPTPError, match="min Choi eigenvalue") as err:
+        Channel(scaled)
+    assert len(calls) == 1
+    assert abs(err.value.tp_residual - loop_tp_residual(scaled, 3)) <= 1e-15
+    assert err.value.choi_min_eigenvalue == np.linalg.eigvalsh(choi(calls[0])).min()
 
 
 def test_weyl_cache_cannot_be_written_through_a_channel():

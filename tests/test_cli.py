@@ -195,6 +195,15 @@ def test_eval_mixed_unitary_probes():
     proc = run_main("eval", "mixed-unitary-d3", "--probe", "single")
     assert proc.returncode == 2
 
+    # a wrong component count used to be reported as "non-numeric ... unpack"
+    for spec, message in [
+        ("zeta:c1=0.5,0,c2=0.5,0,7", "zeta probe c2 needs 2 components <re>,<im>, got 3"),
+        ("zeta:c1=0.5,c2=0.5,0", "zeta probe c1 needs 2 components <re>,<im>, got 1"),
+    ]:
+        proc = run_main("eval", "mixed-unitary-d3", "--probe", spec)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n" and proc.stdout == ""
+
 
 def test_eval_gen_dephasing_phases():
     proc = run_main(
